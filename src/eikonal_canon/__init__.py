@@ -7,7 +7,6 @@ from .metric_graph import (
     Edge,
     MetricGraph,
     Position,
-    Rational,
     covered_intervals,
     eccentricity,
     metric_ball,
@@ -32,17 +31,15 @@ from .partition import (
     critical_points,
     determination_set,
     lattice_closure,
-    tau_eval,
 )
 from .frames import AlphaSet, BetaFrame, alpha_set, family_frames, gram_schmidt
 from .representation import (
+    BlockTerm,
     LinearTimeFn,
     ParametricRepr,
     ProjBlock,
-    ProjTerm,
     apply_projector,
     build_parametric,
-    eikonal_block,
     evaluate_at,
     projector_block,
     sigma_ac,
@@ -61,8 +58,6 @@ from .projalg import (
     word_span_dim,
 )
 from .canonical import (
-    BlockRepr,
-    BlockTerm,
     BoundaryMap,
     BoundaryTag,
     CanonicalBlock,

@@ -11,6 +11,7 @@ kappa x kappa blocks whose slope +-1 generators span the full matrix algebra.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -21,25 +22,14 @@ from .errors import EikonalError, SeamMismatch, StructuralFault
 from .projalg import (
     DEFAULT_TOL,
     TaggedProjector,
-    _angle_cosines,
+    angle_invariants,
     connection_test,
     equivalence_classes,
     gram_matrix,
     irreducible_reduction,
     word_span_dim,
 )
-from .representation import LinearTimeFn, ParametricRepr
-
-
-@dataclass(frozen=True)
-class BlockTerm:
-    gamma: str
-    k: int  # per-source index within the block
-    tau: LinearTimeFn
-    beta: np.ndarray
-
-    def projector(self) -> np.ndarray:
-        return np.outer(self.beta, self.beta)
+from .representation import BlockTerm, ParametricRepr, tau_sum
 
 
 @dataclass(frozen=True)
@@ -57,26 +47,25 @@ class Piece:
 
 
 @dataclass(frozen=True)
-class BlockRepr:
-    """One irreducible block: interval length, ambient dim, per-source terms."""
+class CanonicalBlock:
+    """One irreducible block: parameter interval [0, length] and per-source terms.
 
-    index: int
+    The betas live in R^kappa: the family's cell space while blocks are split
+    and joined, an orthonormal basis of the projector span once
+    `reduce_block` has rewritten them.  Blocks are addressed by their
+    position in a block list; pieces record where their stretches came from.
+    """
+
     length: Fraction
-    dim: int
+    kappa: int
     terms: tuple[BlockTerm, ...]
     pieces: tuple[Piece, ...] = ()
 
     def terms_of(self, gamma: str) -> list[BlockTerm]:
         return [t for t in self.terms if t.gamma == gamma]
 
-    def gammas(self) -> list[str]:
-        return sorted({t.gamma for t in self.terms})
-
     def generator_at(self, gamma: str, r) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim))
-        for t in self.terms_of(gamma):
-            out += float(t.tau(r)) * t.projector()
-        return out
+        return tau_sum(self.terms_of(gamma), self.kappa, r)
 
     def tagged(self) -> list[TaggedProjector]:
         return [TaggedProjector(t.gamma, (t.gamma, t.k), t.beta) for t in self.terms]
@@ -86,7 +75,7 @@ class BlockRepr:
 class BoundaryTag:
     gamma: str
     k: int
-    block: int
+    block: int  # position in the block list
     end: int  # 0 or 1 (r = 0 / r = length)
     value: Fraction
 
@@ -101,23 +90,6 @@ class BoundaryMap:
 
 
 @dataclass(frozen=True)
-class CanonicalBlock:
-    length: Fraction
-    kappa: int
-    terms: tuple[BlockTerm, ...]  # betas live in R^kappa
-    pieces: tuple[Piece, ...] = ()
-
-    def terms_of(self, gamma: str) -> list[BlockTerm]:
-        return [t for t in self.terms if t.gamma == gamma]
-
-    def generator_at(self, gamma: str, r) -> np.ndarray:
-        out = np.zeros((self.kappa, self.kappa))
-        for t in self.terms_of(gamma):
-            out += float(t.tau(r)) * t.projector()
-        return out
-
-
-@dataclass(frozen=True)
 class CanonicalForm:
     sigma: tuple[str, ...]
     horizon: Fraction
@@ -127,41 +99,37 @@ class CanonicalForm:
     notes: tuple[str, ...] = ()
 
 
-def split_blocks(repr_: ParametricRepr, tol: float = DEFAULT_TOL) -> list[BlockRepr]:
+def split_blocks(repr_: ParametricRepr, tol: float = DEFAULT_TOL
+                 ) -> list[CanonicalBlock]:
     """Partition each family's projectors into equivalence classes -> blocks."""
-    blocks: list[BlockRepr] = []
+    blocks: list[CanonicalBlock] = []
     for fam in repr_.families:
-        entries: list[tuple[str, int, LinearTimeFn, np.ndarray]] = []
-        for gamma in repr_.sigma:
-            for term in repr_.block(fam.index, gamma).terms:
-                entries.append((gamma, term.k, term.tau, term.beta))
+        entries = [t for gamma in repr_.sigma
+                   for t in repr_.block(fam.index, gamma).terms]
         if not entries:
             continue
-        tagged = [TaggedProjector(gamma, (gamma, k), beta)
-                  for gamma, k, _, beta in entries]
+        tagged = [TaggedProjector(t.gamma, (t.gamma, t.k), t.beta) for t in entries]
         for cls in equivalence_classes(tagged, tol):
-            per_gamma_count: dict[str, int] = {}
+            per_gamma_count: Counter[str] = Counter()
             terms = []
             for idx in cls.members:
-                gamma, _, tau, beta = entries[idx]
-                k = per_gamma_count.get(gamma, 0)
-                per_gamma_count[gamma] = k + 1
-                terms.append(BlockTerm(gamma, k, tau, beta))
+                t = entries[idx]
+                terms.append(replace(t, k=per_gamma_count[t.gamma]))
+                per_gamma_count[t.gamma] += 1
             terms.sort(key=lambda t: (t.gamma, t.k))
-            idx = len(blocks)
-            blocks.append(BlockRepr(
-                idx, fam.epsilon, fam.dim, tuple(terms),
-                (Piece(idx, Fraction(0), fam.epsilon, False),)))
+            blocks.append(CanonicalBlock(
+                fam.epsilon, fam.dim, tuple(terms),
+                (Piece(len(blocks), Fraction(0), fam.epsilon, False),)))
     return blocks
 
 
-def boundary_map(blocks: Sequence[BlockRepr]) -> BoundaryMap:
+def boundary_map(blocks: Sequence[CanonicalBlock]) -> BoundaryMap:
     """Pair end tags with equal tau values, independently per source vertex."""
     tags: list[BoundaryTag] = []
-    for b in blocks:
+    for i, b in enumerate(blocks):
         for t in b.terms:
             for end in (0, 1):
-                tags.append(BoundaryTag(t.gamma, t.k, b.index, end,
+                tags.append(BoundaryTag(t.gamma, t.k, i, end,
                                         t.tau.end_value(end)))
     partner: dict[BoundaryTag, BoundaryTag] = {}
     types: dict[BoundaryTag, int] = {}
@@ -195,7 +163,7 @@ class JunctionCandidate:
     pairing: tuple[tuple[tuple[str, int], tuple[str, int]], ...]
 
 
-def junction_candidates(blocks: Sequence[BlockRepr],
+def junction_candidates(blocks: Sequence[CanonicalBlock],
                         bm: BoundaryMap) -> list[JunctionCandidate]:
     """Block-end pairs whose tag sets map onto each other bijectively (type 3)."""
     end_tags: dict[tuple[int, int], list[BoundaryTag]] = {}
@@ -234,7 +202,7 @@ def junction_candidates(blocks: Sequence[BlockRepr],
     return out
 
 
-def transpose_block(b: BlockRepr) -> BlockRepr:
+def transpose_block(b: CanonicalBlock) -> CanonicalBlock:
     terms = tuple(replace(t, tau=t.tau.transposed()) for t in b.terms)
     pieces = tuple(
         Piece(p.source, b.length - p.offset - p.length, p.length, not p.flipped)
@@ -242,9 +210,9 @@ def transpose_block(b: BlockRepr) -> BlockRepr:
     return replace(b, terms=terms, pieces=pieces)
 
 
-def junction(a: BlockRepr, end_a: int, b: BlockRepr, end_b: int,
+def junction(a: CanonicalBlock, end_a: int, b: CanonicalBlock, end_b: int,
              pairing: Mapping[tuple[str, int], tuple[str, int]],
-             witness: np.ndarray, tol: float = DEFAULT_TOL) -> BlockRepr:
+             witness: np.ndarray, tol: float = DEFAULT_TOL) -> CanonicalBlock:
     """Glue b onto a through the given ends; the result runs a-first.
 
     The witness must carry each b projector onto its a partner; b's taus are
@@ -273,24 +241,20 @@ def junction(a: BlockRepr, end_a: int, b: BlockRepr, end_b: int,
     pieces = a.pieces + tuple(
         Piece(p.source, a.length + p.offset, p.length, p.flipped)
         for p in b.pieces)
-    return BlockRepr(min(a.index, b.index), total, a.dim,
-                     tuple(new_terms), pieces)
+    return CanonicalBlock(total, a.kappa, tuple(new_terms), pieces)
 
 
-def _renumber(blocks: list[BlockRepr]) -> list[BlockRepr]:
-    return [replace(b, index=i) for i, b in enumerate(blocks)]
+def canonicalize_blocks(blocks: Sequence[CanonicalBlock], tol: float = DEFAULT_TOL
+                        ) -> tuple[list[CanonicalBlock], int, list[str]]:
+    """Junction connected blocks until none remain; lowest-position-first order.
 
-
-def canonicalize_blocks(blocks: Sequence[BlockRepr], tol: float = DEFAULT_TOL
-                        ) -> tuple[list[BlockRepr], int, list[str]]:
-    """Junction connected blocks until none remain; lowest-index-first order."""
-    blocks = _renumber(list(blocks))
+    A joined pair takes the place of its first block; the second is removed.
+    """
+    blocks = list(blocks)
     notes: list[str] = []
     n_junctions = 0
     while True:
-        bm = boundary_map(blocks)
-        applied = False
-        for cand in junction_candidates(blocks, bm):
+        for cand in junction_candidates(blocks, boundary_map(blocks)):
             if cand.block_a == cand.block_b:
                 note = (f"self-junction candidate rejected on block "
                         f"{cand.block_a} (both ends pair with each other)")
@@ -307,59 +271,45 @@ def canonicalize_blocks(blocks: Sequence[BlockRepr], tol: float = DEFAULT_TOL
                 continue
             joined = junction(a, cand.end_a, b, cand.end_b, pairing_ab,
                               verdict.witness, tol)
-            keep = [blk for blk in blocks
-                    if blk.index not in (cand.block_a, cand.block_b)]
-            keep.insert(min(cand.block_a, cand.block_b), joined)
-            blocks = _renumber(keep)
+            # candidates come with block_a < block_b
+            blocks[cand.block_a] = joined
+            del blocks[cand.block_b]
             n_junctions += 1
-            applied = True
             break
-        if not applied:
-            break
-    return list(blocks), n_junctions, notes
+        else:
+            return blocks, n_junctions, notes
 
 
-def reduce_block(b: BlockRepr, tol: float = DEFAULT_TOL) -> CanonicalBlock:
+def reduce_block(b: CanonicalBlock, tol: float = DEFAULT_TOL) -> CanonicalBlock:
     """Rewrite a block on an orthonormal basis of its projector span."""
     q, _ = irreducible_reduction(b.tagged(), tol)
-    kappa = q.shape[1]
-    terms = []
-    for t in b.terms:
-        beta = q.T @ t.beta
-        terms.append(BlockTerm(t.gamma, t.k, t.tau, beta))
-    return CanonicalBlock(b.length, kappa, tuple(terms), b.pieces)
+    terms = tuple(replace(t, beta=q.T @ t.beta) for t in b.terms)
+    return replace(b, kappa=q.shape[1], terms=terms)
+
+
+def _reduced_form(src: ParametricRepr | CanonicalForm,
+                  blocks: list[CanonicalBlock], tol: float) -> CanonicalForm:
+    """Junction to exhaustion, rewrite each block on its span, check it."""
+    done, n_junctions, notes = canonicalize_blocks(blocks, tol)
+    canonical = tuple(reduce_block(b, tol) for b in done)
+    for cb in canonical:
+        _check_canonical_invariants(cb, tol)
+    return CanonicalForm(src.sigma, src.horizon, src.shifted, canonical,
+                         n_junctions, tuple(notes))
 
 
 def canonicalize(repr_: ParametricRepr, tol: float = DEFAULT_TOL) -> CanonicalForm:
     """Full reduction: split, junction to exhaustion, orthonormal rewrite."""
     if not repr_.shifted:
         raise EikonalError("canonicalize expects the shifted representation")
-    blocks = split_blocks(repr_, tol)
-    done, n_junctions, notes = canonicalize_blocks(blocks, tol)
-    canonical = tuple(reduce_block(b, tol) for b in done)
-    for cb in canonical:
-        _check_canonical_invariants(cb, tol)
-    return CanonicalForm(repr_.sigma, repr_.horizon, repr_.shifted, canonical,
-                         n_junctions, tuple(notes))
+    return _reduced_form(repr_, split_blocks(repr_, tol), tol)
 
 
 def recanonicalize(cf: CanonicalForm, tol: float = DEFAULT_TOL) -> CanonicalForm:
     """Run the junction loop again on a canonical form (idempotence check)."""
-    done, n_junctions, notes = canonicalize_blocks(blocks_from_form(cf), tol)
-    canonical = tuple(reduce_block(b, tol) for b in done)
-    for cb in canonical:
-        _check_canonical_invariants(cb, tol)
-    return CanonicalForm(cf.sigma, cf.horizon, cf.shifted, canonical,
-                         n_junctions, tuple(notes))
-
-
-def blocks_from_form(cf: CanonicalForm) -> list[BlockRepr]:
-    """View canonical blocks as plain blocks (for idempotence checks)."""
-    out = []
-    for i, cb in enumerate(cf.blocks):
-        out.append(BlockRepr(i, cb.length, cb.kappa, cb.terms,
-                             (Piece(i, Fraction(0), cb.length, False),)))
-    return out
+    blocks = [replace(cb, pieces=(Piece(i, Fraction(0), cb.length, False),))
+              for i, cb in enumerate(cf.blocks)]
+    return _reduced_form(cf, blocks, tol)
 
 
 def _check_canonical_invariants(cb: CanonicalBlock, tol: float) -> None:
@@ -415,7 +365,8 @@ def equivalent_forms(cf1: CanonicalForm, cf2: CanonicalForm,
             g1, g2 = gram_matrix(fam_a), gram_matrix(fam_b)
             if float(np.max(np.abs(g1 - g2))) > tol:
                 continue
-            c1, c2 = _angle_cosines(fam_a, tol), _angle_cosines(fam_b, tol)
+            c1 = angle_invariants(fam_a, tol).cosines()
+            c2 = angle_invariants(fam_b, tol).cosines()
             if c1 and max(abs(x - y) for x, y in zip(c1, c2)) > tol:
                 continue
             return True

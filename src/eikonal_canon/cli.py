@@ -30,7 +30,7 @@ from .frames import family_frames
 from .impulse import propagate
 from .metric_graph import MetricGraph, eccentricity, validate_graph
 from .partition import build_partition
-from .representation import build_parametric, eikonal_block, sigma_ac
+from .representation import build_parametric, sigma_ac
 from .spectrum import build_spectrum, quotient_graph
 
 
@@ -176,7 +176,7 @@ def run_command(args) -> int:
                         written.append(_write(out_dir, "spectrum.dot",
                                               serialize.spectrum_dot(sm, quot)))
                 else:
-                    code = _verify(g, sigma, horizon, hydras, part, frames,
+                    code = _verify(g, sigma, horizon, hydras, part,
                                    repr_shifted, cf, tol)
                     if code:
                         return code
@@ -207,7 +207,7 @@ def run_command(args) -> int:
     return 0
 
 
-def _verify(g, sigma, horizon, hydras, part, frames, repr_, cf, tol) -> int:
+def _verify(g, sigma, horizon, hydras, part, repr_, cf, tol) -> int:
     """Invariant sweep over the whole pipeline; nonzero exit on any failure."""
     failures: list[str] = []
 
@@ -227,13 +227,6 @@ def _verify(g, sigma, horizon, hydras, part, frames, repr_, cf, tol) -> int:
                   for s in h.segments for t in (s.t0, s.t1)))
     check("families cover with equal cells",
           all(len({c.length for c in fam.cells}) == 1 for fam in part.families))
-    ortho_ok = True
-    for key, frame in frames.items():
-        nz = frame.nonzero_matrix()
-        if nz.size and float(np.max(np.abs(nz @ nz.T - np.eye(nz.shape[0])))) > 10 * tol:
-            ortho_ok = False
-    check("frame orthonormality", ortho_ok)
-
     eig_ok = True
     for fam in part.families:
         for gamma in sigma:
@@ -241,7 +234,7 @@ def _verify(g, sigma, horizon, hydras, part, frames, repr_, cf, tol) -> int:
             if not pb.terms:
                 continue
             r = fam.epsilon * Fraction(3, 7)
-            mat = eikonal_block(pb, r)
+            mat = pb.matrix_at(r)
             vecs = np.array([t.beta for t in pb.terms])
             small = vecs @ mat @ vecs.T
             want = sorted(float(t.tau(r)) for t in pb.terms)

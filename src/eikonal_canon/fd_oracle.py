@@ -90,11 +90,6 @@ def fd_wave(g: MetricGraph, controls: Sequence[ControlSignal], horizon,
     prev = {e.id: np.zeros(sizes[e.id] + 1) for e in g.edges}
     curr = {e.id: np.zeros(sizes[e.id] + 1) for e in g.edges}
 
-    def vertex_value(state: Mapping[str, np.ndarray], v: str) -> float:
-        ei, end = g.incidence(v)[0]
-        e = g.edges[ei]
-        return state[e.id][0 if end == 0 else -1]
-
     for n in range(1, steps + 1):
         t = float(n * h)
         nxt = {}

@@ -15,8 +15,6 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import InvalidGraphError
 
-Rational = Fraction
-
 ZERO = Fraction(0)
 
 
@@ -38,9 +36,6 @@ class Position:
     edge: str | None
     offset: Fraction
     vertex: str | None
-
-    def is_vertex(self) -> bool:
-        return self.vertex is not None
 
     def sort_key(self):
         if self.vertex is not None:
@@ -199,12 +194,6 @@ def validate_graph(g: MetricGraph) -> list[str]:
     return report
 
 
-def require_valid(g: MetricGraph) -> None:
-    report = validate_graph(g)
-    if report:
-        raise InvalidGraphError("; ".join(report))
-
-
 def eccentricity(g: MetricGraph, gamma: str) -> Fraction:
     """Filling time from a boundary vertex: max over x of distance(x, gamma)."""
     if gamma not in g.boundary:
@@ -223,8 +212,23 @@ def eccentricity(g: MetricGraph, gamma: str) -> Fraction:
     return best
 
 
+def merge_intervals(intervals: Iterable[tuple[Fraction, Fraction]],
+                    closed: bool = True) -> list[tuple[Fraction, Fraction]]:
+    """Union of intervals as sorted disjoint (lo, hi) pairs.
+
+    Closed intervals that touch are merged; open ones only when they
+    overlap, because an end point they share belongs to neither.
+    """
+    merged: list[list[Fraction]] = []
+    for lo, hi in sorted(intervals):
+        if merged and (lo <= merged[-1][1] if closed else lo < merged[-1][1]):
+            merged[-1][1] = max(merged[-1][1], hi)
+        else:
+            merged.append([lo, hi])
+    return [(lo, hi) for lo, hi in merged]
+
+
 def _edge_sublevel(
-    g: MetricGraph,
     edge: Edge,
     sources: Sequence[Position],
     source_vertex_dist: Mapping[str, Fraction],
@@ -249,18 +253,7 @@ def _edge_sublevel(
     for s in sources:
         if s.edge == edge.id:
             clip(s.offset - r, s.offset + r)
-    if not pieces:
-        return []
-    pieces.sort()
-    merged = [list(pieces[0])]
-    for lo, hi in pieces[1:]:
-        if lo <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], hi)
-        else:
-            merged.append([lo, hi])
-    if strict:
-        merged = [iv for iv in merged if iv[0] < iv[1]]
-    return [(lo, hi) for lo, hi in merged]
+    return merge_intervals(pieces, closed=not strict)
 
 
 def _source_vertex_dist(g: MetricGraph, sources: Sequence[Position]) -> dict[str, Fraction]:
@@ -298,7 +291,7 @@ def metric_ball(g: MetricGraph, points: Sequence[Position] | Position, r) -> Bal
     inside = frozenset(v for v, d in svd.items() if d < r)
     out: dict[str, tuple] = {}
     for e in g.edges:
-        ivs = _edge_sublevel(g, e, points, svd, r, strict=True)
+        ivs = _edge_sublevel(e, points, svd, r, strict=True)
         if not ivs:
             continue
         flagged = []
@@ -318,7 +311,7 @@ def covered_intervals(
     svd = _source_vertex_dist(g, points)
     out: dict[str, list[tuple[Fraction, Fraction]]] = {}
     for e in g.edges:
-        ivs = _edge_sublevel(g, e, points, svd, r, strict=False)
+        ivs = _edge_sublevel(e, points, svd, r, strict=False)
         if ivs:
             out[e.id] = ivs
     return out

@@ -126,11 +126,6 @@ class Partition:
         return None
 
 
-def tau_eval(family: Family, i: int, r, gamma: str | None = None) -> Fraction:
-    """Passage time tau_i at cell parameter r; identical for every gamma."""
-    return family.tau_value(i, r)
-
-
 def lattice_closure(hydras: Sequence[Hydra], seeds: Iterable[SpaceTimePoint],
                     cap: int = CLOSURE_CAP) -> frozenset[SpaceTimePoint]:
     """Smallest hydra subset containing seeds, closed under shared position / time."""
@@ -189,10 +184,6 @@ def corner_points(hydras: Sequence[Hydra]) -> set[SpaceTimePoint]:
 def critical_points(hydras: Sequence[Hydra]) -> tuple[Position, ...]:
     closure = lattice_closure(hydras, corner_points(hydras))
     return tuple(sorted({p for p, _ in closure}, key=Position.sort_key))
-
-
-def _sample_times(hydras: Sequence[Hydra], x: Position) -> list[Fraction]:
-    return union_times_at(hydras, x)
 
 
 def build_partition(hydras: Sequence[Hydra]) -> Partition:

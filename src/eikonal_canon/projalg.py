@@ -11,13 +11,12 @@ explicit orthogonal witness intertwines them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import EikonalError, InvariantViolation
-
-DEFAULT_TOL = 1e-9
+from .frames import DEFAULT_TOL, gram_schmidt
 
 
 @dataclass(frozen=True)
@@ -52,6 +51,11 @@ class AngleInvariants:
     pairs: Mapping[tuple[int, int], float]
     triples: Mapping[tuple[int, int, int], float]
 
+    def cosines(self) -> list[float]:
+        """Cosines of chain, pair and triple angles in that fixed order."""
+        angles = (*self.chain, *self.pairs.values(), *self.triples.values())
+        return [float(np.cos(a)) for a in angles]
+
 
 @dataclass(frozen=True)
 class Verdict:
@@ -73,10 +77,12 @@ def numerical_rank(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> int:
     return int(np.sum(s > tol * s[0]))
 
 
-def equivalence_classes(ps: ProjectorFamily, tol: float = DEFAULT_TOL
-                        ) -> list[EquivClass]:
-    """Transitive closure of |<b_i, b_j>| > tol, ordered by smallest member."""
-    n = len(ps)
+def connected_classes(n: int, linked: Callable[[int, int], bool]
+                      ) -> list[tuple[int, ...]]:
+    """Classes of range(n) under the transitive closure of linked(i, j), i < j.
+
+    Union-find; each class is sorted and classes come by smallest member.
+    """
     parent = list(range(n))
 
     def find(i: int) -> int:
@@ -85,21 +91,26 @@ def equivalence_classes(ps: ProjectorFamily, tol: float = DEFAULT_TOL
             i = parent[i]
         return i
 
-    vecs = _vectors(ps)
     for i in range(n):
         for j in range(i + 1, n):
-            if abs(float(vecs[i] @ vecs[j])) > tol:
+            if linked(i, j):
                 ri, rj = find(i), find(j)
                 if ri != rj:
                     parent[max(ri, rj)] = min(ri, rj)
     groups: dict[int, list[int]] = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
-    out = []
-    for root in sorted(groups):
-        members = tuple(sorted(groups[root]))
-        out.append(EquivClass(members, numerical_rank(vecs[list(members)], tol)))
-    return out
+    return [tuple(groups[root]) for root in sorted(groups)]
+
+
+def equivalence_classes(ps: ProjectorFamily, tol: float = DEFAULT_TOL
+                        ) -> list[EquivClass]:
+    """Transitive closure of |<b_i, b_j>| > tol, ordered by smallest member."""
+    vecs = _vectors(ps)
+    classes = connected_classes(
+        len(ps), lambda i, j: abs(float(vecs[i] @ vecs[j])) > tol)
+    return [EquivClass(members, numerical_rank(vecs[list(members)], tol))
+            for members in classes]
 
 
 def gram_matrix(ps: ProjectorFamily) -> np.ndarray:
@@ -133,10 +144,6 @@ def subspace_angle(span_l: np.ndarray, span_m: np.ndarray,
     return float(np.arccos(c))
 
 
-def _cosine(span_l: np.ndarray, span_m: np.ndarray, tol: float) -> float:
-    return float(np.cos(subspace_angle(span_l, span_m, tol)))
-
-
 def angle_invariants(ps: ProjectorFamily, tol: float = DEFAULT_TOL
                      ) -> AngleInvariants:
     """All chain, pair and triple subspace angles of the ordered family."""
@@ -156,23 +163,6 @@ def angle_invariants(ps: ProjectorFamily, tol: float = DEFAULT_TOL
                 triples[(i, j, l)] = subspace_angle(
                     vecs[[i, j]], vecs[l:l + 1], tol)
     return AngleInvariants(tuple(chain), pairs, triples)
-
-
-def _angle_cosines(ps: ProjectorFamily, tol: float) -> list[float]:
-    """Cosines of all invariants in a fixed order (stable for comparison)."""
-    vecs = _vectors(ps)
-    n = len(ps)
-    out = []
-    for i in range(n):
-        out.append(_cosine(vecs[i:i + 1], vecs[:i], tol))
-    for i in range(n):
-        for j in range(i + 1, n):
-            out.append(_cosine(vecs[i:i + 1], vecs[j:j + 1], tol))
-    for i in range(n):
-        for j in range(i + 1, n):
-            for l in range(j + 1, n):
-                out.append(_cosine(vecs[[i, j]], vecs[l:l + 1], tol))
-    return out
 
 
 def _sign_witness(va: np.ndarray, vb: np.ndarray, tol: float) -> np.ndarray | None:
@@ -230,8 +220,8 @@ def connection_test(p1: ProjectorFamily, p2: ProjectorFamily,
     g2 = gram_matrix(reordered)
     if float(np.max(np.abs(g1 - g2))) > tol:
         return Verdict(False, "Gram matrices disagree")
-    c1 = _angle_cosines(p1, tol)
-    c2 = _angle_cosines(reordered, tol)
+    c1 = angle_invariants(p1, tol).cosines()
+    c2 = angle_invariants(reordered, tol).cosines()
     if max(abs(a - b) for a, b in zip(c1, c2)) > tol:
         return Verdict(False, "angle invariants disagree")
     witness = _sign_witness(_vectors(p1), _vectors(reordered), tol)
@@ -248,15 +238,7 @@ def irreducible_reduction(ps: ProjectorFamily, tol: float = DEFAULT_TOL
     Returns (basis Q with kappa columns, kappa x kappa images Q^T P_i Q).
     """
     vecs = _vectors(ps)
-    cols: list[np.ndarray] = []
-    for v in vecs:
-        resid = v.copy()
-        for q in cols:
-            resid -= float(resid @ q) * q
-        norm = float(np.linalg.norm(resid))
-        if norm > tol:
-            cols.append(resid / norm)
-    q = np.array(cols).T if cols else np.zeros((vecs.shape[1], 0))
+    q = gram_schmidt(vecs, tol, strict_first=False).nonzero_matrix().T
     images = []
     for v in vecs:
         w = q.T @ v

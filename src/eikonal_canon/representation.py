@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import EikonalError, MissingSampleError
 from .frames import BetaFrame, DEFAULT_TOL
-from .metric_graph import Position
+from .metric_graph import Position, merge_intervals
 from .partition import Family, Partition
 
 
@@ -57,10 +57,15 @@ class LinearTimeFn:
 
 
 @dataclass(frozen=True)
-class ProjTerm:
-    """One (passage time, rank-one projector) pair of a block."""
+class BlockTerm:
+    """One (passage time, rank-one projector beta beta^T) pair of source gamma.
 
-    k: int  # time-cell index within the family
+    k indexes the term among gamma's terms of its block: the time cell in a
+    family block, the position among gamma's terms in a canonical block.
+    """
+
+    gamma: str
+    k: int
     tau: LinearTimeFn
     beta: np.ndarray
 
@@ -68,18 +73,23 @@ class ProjTerm:
         return np.outer(self.beta, self.beta)
 
 
+def tau_sum(terms: Iterable[BlockTerm], dim: int, r) -> np.ndarray:
+    """sum_i tau_i(r) P_i over the given terms, as a dim x dim matrix."""
+    out = np.zeros((dim, dim))
+    for term in terms:
+        out += float(term.tau(r)) * term.projector()
+    return out
+
+
 @dataclass(frozen=True)
 class ProjBlock:
     family: int
     gamma: str
     dim: int
-    terms: tuple[ProjTerm, ...]
+    terms: tuple[BlockTerm, ...]
 
     def matrix_at(self, r) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim))
-        for term in self.terms:
-            out += float(term.tau(r)) * term.projector()
-        return out
+        return tau_sum(self.terms, self.dim, r)
 
 
 @dataclass(frozen=True)
@@ -113,11 +123,6 @@ def projector_block(frame: BetaFrame | np.ndarray,
     return np.zeros((m, m))
 
 
-def eikonal_block(pb: ProjBlock, r) -> np.ndarray:
-    """sum_i tau_i(r) P_i as a dim x dim matrix."""
-    return pb.matrix_at(r)
-
-
 def build_parametric(partition: Partition,
                      frames: Mapping[tuple[int, str], BetaFrame],
                      shifted: bool = True) -> ParametricRepr:
@@ -139,7 +144,7 @@ def build_parametric(partition: Partition,
                 tau = LinearTimeFn(intercept, slope, fam.epsilon)
                 if shifted:
                     tau = tau.shifted(1)
-                terms.append(ProjTerm(i, tau, frame.vectors[i].copy()))
+                terms.append(BlockTerm(gamma, i, tau, frame.vectors[i].copy()))
             blocks[(fam.index, gamma)] = ProjBlock(
                 fam.index, gamma, fam.dim, tuple(terms))
     return ParametricRepr(partition.sigma, partition.horizon, shifted,
@@ -161,20 +166,6 @@ def evaluate_at(repr_: ParametricRepr,
                 for fam, r in zip(fams, rs)]
         for gamma in repr_.sigma
     }
-
-
-def merge_intervals(intervals: Iterable[tuple[Fraction, Fraction]]
-                    ) -> list[tuple[Fraction, Fraction]]:
-    ivs = sorted(intervals)
-    if not ivs:
-        return []
-    merged = [list(ivs[0])]
-    for lo, hi in ivs[1:]:
-        if lo <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], hi)
-        else:
-            merged.append([lo, hi])
-    return [(lo, hi) for lo, hi in merged]
 
 
 def sigma_ac(repr_: ParametricRepr, gamma: str) -> list[tuple[Fraction, Fraction]]:

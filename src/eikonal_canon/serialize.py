@@ -13,8 +13,9 @@ from typing import Any
 import numpy as np
 
 from .canonical import CanonicalForm
+from .errors import EikonalError
 from .impulse import Hydra
-from .metric_graph import MetricGraph, Position
+from .metric_graph import Position
 from .partition import Partition
 from .representation import ParametricRepr
 from .spectrum import QuotientGraph, SpectrumModel
@@ -30,25 +31,16 @@ def fl(x: float) -> float:
 
 
 def parse_rational(text: str) -> Fraction:
-    return Fraction(text.strip())
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError):
+        raise EikonalError(f"invalid rational {text!r}") from None
 
 
 def pos_json(p: Position) -> dict:
     if p.vertex is not None:
         return {"vertex": p.vertex}
     return {"edge": p.edge, "offset": rat(p.offset)}
-
-
-def graph_json(g: MetricGraph) -> dict:
-    return {
-        "vertices": [
-            {"id": v, "boundary": v in g.boundary} for v in g.vertices
-        ],
-        "edges": [
-            {"id": e.id, "ends": list(e.ends), "length": rat(e.length)}
-            for e in g.edges
-        ],
-    }
 
 
 def hydra_json(h: Hydra) -> dict:

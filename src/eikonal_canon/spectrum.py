@@ -17,8 +17,8 @@ import numpy as np
 
 from .canonical import CanonicalBlock, CanonicalForm
 from .errors import EikonalError, InvariantViolation
-from .projalg import DEFAULT_TOL, word_span_dim
-from .representation import merge_intervals
+from .metric_graph import merge_intervals
+from .projalg import DEFAULT_TOL, connected_classes, word_span_dim
 
 CLUSTER_SEED = 0x5EED
 
@@ -67,7 +67,7 @@ def _commutant_basis(gens: Sequence[np.ndarray], tol: float) -> list[np.ndarray]
     if s.size == 0 or s[0] == 0:
         rank = 0
     else:
-        rank = int(np.sum(s > 1e-9 * max(1.0, s[0])))
+        rank = int(np.sum(s > tol * max(1.0, s[0])))
     null = vt[rank:]
     return [v.reshape(n, n) for v in null]
 
@@ -187,37 +187,13 @@ def quotient_graph(sm: SpectrumModel) -> QuotientGraph:
     """
     cf = sm.form
     endpoints = [(i, end) for i in range(len(cf.blocks)) for end in (0, 1)]
-    coords = {}
-    for i, end in endpoints:
-        r = cf.blocks[i].length if end else Fraction(0)
-        coords[(i, end)] = gamma_coordinates(cf, i, r)
-    parent = {ep: ep for ep in endpoints}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a in endpoints:
-        for b in endpoints:
-            if b <= a:
-                continue
-            for gamma in cf.sigma:
-                if set(coords[a][gamma]) & set(coords[b][gamma]):
-                    ra, rb = find(a), find(b)
-                    if ra != rb:
-                        parent[max(ra, rb)] = min(ra, rb)
-                    break
-    classes: dict[tuple, list] = {}
-    for ep in endpoints:
-        classes.setdefault(find(ep), []).append(ep)
-    ordered = sorted(classes.values())
-    node_of = {}
-    for node_idx, members in enumerate(ordered):
-        for ep in members:
-            node_of[ep] = node_idx
+    coords = [gamma_coordinates(cf, i, cf.blocks[i].length if end else Fraction(0))
+              for i, end in endpoints]
+    classes = connected_classes(len(endpoints), lambda a, b: any(
+        set(coords[a][gamma]) & set(coords[b][gamma]) for gamma in cf.sigma))
+    nodes = tuple(tuple(endpoints[k] for k in members) for members in classes)
+    node_of = {ep: node_idx for node_idx, members in enumerate(nodes) for ep in members}
     edges = tuple(
         (node_of[(i, 0)], node_of[(i, 1)], cf.blocks[i].length, i)
         for i in range(len(cf.blocks)))
-    return QuotientGraph(tuple(tuple(m) for m in ordered), edges)
+    return QuotientGraph(nodes, edges)

@@ -27,7 +27,6 @@ from eikonal_canon import (
     connection_test,
     convolution_snapshot,
     eccentricity,
-    eikonal_block,
     equivalent_forms,
     family_frames,
     fd_wave,
@@ -181,7 +180,7 @@ def test_criterion_5_eigenvalue_identity():
             blocks_checked += 1
             for _ in range(10):
                 r = fam.epsilon * F(rng.randint(1, 127), 128)
-                mat = eikonal_block(pb, r)
+                mat = pb.matrix_at(r)
                 vecs = np.array([t.beta for t in pb.terms])
                 got = np.sort(np.linalg.eigvalsh(vecs @ mat @ vecs.T))
                 want = np.sort([float(t.tau(r)) for t in pb.terms])

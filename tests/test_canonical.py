@@ -22,7 +22,7 @@ from eikonal_canon import (
     word_span_dim,
 )
 from eikonal_canon.canonical import (
-    BlockRepr,
+    CanonicalBlock,
     Piece,
     junction,
     junction_candidates,
@@ -48,7 +48,7 @@ class TestSplitBlocks:
         _, repr_ = make_repr(interval, ["a"], F(1, 2))
         blocks = split_blocks(repr_)
         assert len(blocks) == 1
-        assert blocks[0].length == F(1, 2) and blocks[0].dim == 1
+        assert blocks[0].length == F(1, 2) and blocks[0].kappa == 1
 
     def test_star_three_blocks(self, star3):
         _, repr_ = make_repr(star3, ["g1"], F(3, 2))
@@ -121,8 +121,8 @@ class TestJunction:
         from eikonal_canon.canonical import BlockTerm
         from eikonal_canon.representation import LinearTimeFn
 
-        mk = lambda t0, slope, ln: BlockRepr(
-            0, F(ln), 1,
+        mk = lambda t0, slope, ln: CanonicalBlock(
+            F(ln), 1,
             (BlockTerm("g", 0, LinearTimeFn(F(t0), slope, F(ln)),
                        np.array([1.0])),),
             (Piece(0, F(0), F(ln), False),))

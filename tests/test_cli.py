@@ -181,9 +181,10 @@ class TestCommands:
             (out2 / "spectrum.dot").read_bytes()
 
     def test_bad_sigma_exit_1(self, star_file, tmp_path, capsys):
-        assert run(["canonical", "--graph", star_file, "--sigma", "nope",
-                    "--horizon", "1", "--out", tmp_path / "x"]) == 1
-        assert "error:" in capsys.readouterr().err
+        for sigma, horizon in (("nope", "1"), ("g1", "abc"), ("g1", "1/0")):
+            assert run(["canonical", "--graph", star_file, "--sigma", sigma,
+                        "--horizon", horizon, "--out", tmp_path / "x"]) == 1
+            assert "error:" in capsys.readouterr().err
 
     def test_missing_file_exit_1(self, tmp_path):
         assert run(["canonical", "--graph", tmp_path / "missing.txt",

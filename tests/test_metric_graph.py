@@ -208,3 +208,14 @@ class TestMetricBall:
             (F(0), F(1, 4), True, False),
             (F(3, 4), F(1), False, True),
         )
+        # at r = 1/2 the open balls touch, but the midpoint lies at distance
+        # exactly r from both ends, so it stays outside
+        trace = metric_ball(
+            interval,
+            [interval.vertex_position("a"), interval.vertex_position("b")],
+            F(1, 2),
+        )
+        assert trace.intervals["e0"] == (
+            (F(0), F(1, 2), True, False),
+            (F(1, 2), F(1), False, True),
+        )

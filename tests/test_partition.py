@@ -13,7 +13,6 @@ from eikonal_canon import (
     determination_set,
     lattice_closure,
     propagate,
-    tau_eval,
     wave_eval,
 )
 from conftest import bump, random_admissible_graph
@@ -125,7 +124,7 @@ class TestBuildPartition:
         assert fam.epsilon == F(1, 2)
         assert [(tc.start, tc.end) for tc in fam.time_cells] == [(F(0), F(1, 2))]
         assert fam.tau_slopes == (1,)
-        assert tau_eval(fam, 0, F(1, 4)) == F(1, 4)
+        assert fam.tau_value(0, F(1, 4)) == F(1, 4)
 
     def test_star_two_families(self, star3, star_hydra):
         part = build_partition([star_hydra])
@@ -146,8 +145,8 @@ class TestBuildPartition:
         # first cell is parameterized away from g1's side; the first passage
         # moves with r, the returning one against it
         assert fam2.tau_slopes == (1, -1)
-        assert tau_eval(fam2, 0, F(1, 8)) == F(5, 8)
-        assert tau_eval(fam2, 1, F(1, 8)) == F(11, 8)
+        assert fam2.tau_value(0, F(1, 8)) == F(5, 8)
+        assert fam2.tau_value(1, F(1, 8)) == F(11, 8)
         # mirror cells on e2/e3 sweep toward the center as r grows
         assert [c.forward for c in fam2.cells] == [True, False, False]
 
@@ -155,7 +154,7 @@ class TestBuildPartition:
         part = build_partition([star_hydra])
         for fam in part.families:
             for i, tc in enumerate(fam.time_cells):
-                ends = {tau_eval(fam, i, 0), tau_eval(fam, i, fam.epsilon)}
+                ends = {fam.tau_value(i, 0), fam.tau_value(i, fam.epsilon)}
                 assert ends == {tc.start, tc.end}
             vals = fam.times_at(F(1, 7) * fam.epsilon)
             assert len(set(vals)) == len(vals)

@@ -13,7 +13,6 @@ from eikonal_canon import (
     apply_projector,
     build_parametric,
     build_partition,
-    eikonal_block,
     evaluate_at,
     family_frames,
     projector_block,
@@ -83,14 +82,14 @@ class TestEikonalBlock:
         part = build_partition([h])
         repr_ = build_parametric(part, family_frames(part, [h]), shifted=True)
         pb = repr_.block(0, "a")
-        assert eikonal_block(pb, F(1, 4)) == pytest.approx(np.array([[1.25]]))
+        assert pb.matrix_at(F(1, 4)) == pytest.approx(np.array([[1.25]]))
 
     def test_star_eigenvalues(self, star3):
         _, part, repr_ = star_repr(star3)
         fam2 = next(f for f in part.families if f.dim == 3)
         pb = repr_.block(fam2.index, "g1")
         r = F(1, 8)
-        mat = eikonal_block(pb, r)
+        mat = pb.matrix_at(r)
         vecs = np.array([t.beta for t in pb.terms])
         eig = sorted(np.linalg.eigvalsh(vecs @ mat @ vecs.T))
         want = sorted(float(t.tau(r)) for t in pb.terms)
@@ -115,7 +114,7 @@ class TestEikonalBlock:
         _, part, repr_ = star_repr(star3)
         fam2 = next(f for f in part.families if f.dim == 3)
         pb = repr_.block(fam2.index, "g1")
-        mat = eikonal_block(pb, F(1, 2))
+        mat = pb.matrix_at(F(1, 2))
         vecs = np.array([t.beta for t in pb.terms])
         eig = np.linalg.eigvalsh(vecs @ mat @ vecs.T)
         assert np.allclose(eig, [2.0, 2.0])
@@ -135,7 +134,7 @@ class TestEvaluateAt:
         fam2 = next(f for f in part.families if f.dim == 3)
         pb = repr_.block(fam2.index, "g1")
         r = F(2, 7)
-        mat = eikonal_block(pb, r)
+        mat = pb.matrix_at(r)
         # q(E)(r) == q(E(r)) for scalar polynomials without constant term
         q_of_mat = 2 * (mat @ mat) - 3 * mat
         q_terms = np.zeros_like(mat)
