@@ -45,16 +45,13 @@ from .representation import (
     sigma_ac,
 )
 from .projalg import (
-    AngleInvariants,
     EquivClass,
     TaggedProjector,
     Verdict,
-    angle_invariants,
     connection_test,
     equivalence_classes,
     gram_matrix,
     irreducible_reduction,
-    subspace_angle,
     word_span_dim,
 )
 from .canonical import (

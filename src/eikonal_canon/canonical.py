@@ -3,7 +3,7 @@
 Families split into irreducible blocks along projector equivalence classes.
 End values of the passage-time functions induce, per source vertex, an exact
 pairing of block ends; ends whose tag sets pair bijectively are junction
-candidates, and candidates passing the Gram/angle connection test are glued
+candidates, and candidates passing the signed-Gram connection test are glued
 into a single longer block through an orthogonal witness.  When no junction
 remains, each block is rewritten on an orthonormal basis of its span, giving
 kappa x kappa blocks whose slope +-1 generators span the full matrix algebra.
@@ -22,10 +22,8 @@ from .errors import EikonalError, SeamMismatch, StructuralFault
 from .projalg import (
     DEFAULT_TOL,
     TaggedProjector,
-    angle_invariants,
     connection_test,
     equivalence_classes,
-    gram_matrix,
     irreducible_reduction,
     word_span_dim,
 )
@@ -212,12 +210,12 @@ def transpose_block(b: CanonicalBlock) -> CanonicalBlock:
 
 def junction(a: CanonicalBlock, end_a: int, b: CanonicalBlock, end_b: int,
              pairing: Mapping[tuple[str, int], tuple[str, int]],
-             witness: np.ndarray, tol: float = DEFAULT_TOL) -> CanonicalBlock:
+             witness: np.ndarray) -> CanonicalBlock:
     """Glue b onto a through the given ends; the result runs a-first.
 
-    The witness must carry each b projector onto its a partner; b's taus are
-    continued past the seam, which requires exact value and slope agreement
-    there (checked).
+    The witness must carry each b beta onto its a partner up to sign (checked
+    on the vectors); b's taus are continued past the seam, which requires
+    exact value and slope agreement there (checked).
     """
     if end_a == 0:
         a = transpose_block(a)
@@ -234,8 +232,9 @@ def junction(a: CanonicalBlock, end_a: int, b: CanonicalBlock, end_b: int,
                 f"{tb.tau.intercept}")
         if t.tau.slope != tb.tau.slope:
             raise SeamMismatch(f"seam slopes differ for {t.gamma}")
-        mapped = witness @ tb.projector() @ witness.T
-        if float(np.max(np.abs(mapped - t.projector()))) > 1e-7:
+        mapped = witness @ tb.beta
+        if min(np.max(np.abs(mapped - t.beta)),
+               np.max(np.abs(mapped + t.beta))) > 1e-7:
             raise SeamMismatch("witness does not carry the paired projector")
         new_terms.append(replace(t, tau=t.tau.extended(total)))
     pieces = a.pieces + tuple(
@@ -270,7 +269,7 @@ def canonicalize_blocks(blocks: Sequence[CanonicalBlock], tol: float = DEFAULT_T
             if not verdict.connected:
                 continue
             joined = junction(a, cand.end_a, b, cand.end_b, pairing_ab,
-                              verdict.witness, tol)
+                              verdict.witness)
             # candidates come with block_a < block_b
             blocks[cand.block_a] = joined
             del blocks[cand.block_b]
@@ -362,14 +361,9 @@ def equivalent_forms(cf1: CanonicalForm, cf2: CanonicalForm,
                 continue
             fam_a = [TaggedProjector(t.gamma, (t.gamma, t.k), t.beta) for t in tags_a]
             fam_b = [TaggedProjector(t.gamma, (t.gamma, t.k), t.beta) for t in tags_b]
-            g1, g2 = gram_matrix(fam_a), gram_matrix(fam_b)
-            if float(np.max(np.abs(g1 - g2))) > tol:
-                continue
-            c1 = angle_invariants(fam_a, tol).cosines()
-            c2 = angle_invariants(fam_b, tol).cosines()
-            if c1 and max(abs(x - y) for x, y in zip(c1, c2)) > tol:
-                continue
-            return True
+            identity = {i: i for i in range(len(fam_a))}
+            if connection_test(fam_a, fam_b, identity, tol).connected:
+                return True
         return False
 
     remaining = list(range(len(cf2.blocks)))

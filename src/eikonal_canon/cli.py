@@ -132,6 +132,8 @@ def run_command(args) -> int:
     out_dir = Path(args.out)
     emit = set(args.emit.split(","))
     tol = args.tol
+    if not 0 < tol < 1:  # also rejects nan
+        raise EikonalError(f"tol must be a finite number in (0, 1), got {tol}")
     written: list[Path] = []
 
     g, sigma, horizon, hydras = _pipeline(args)

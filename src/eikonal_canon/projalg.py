@@ -3,9 +3,9 @@
 Unit vectors stand in for their rank-one projectors.  The nonzero-inner-
 product relation partitions a projector family into equivalence classes;
 each class generates a full matrix algebra on its span.  Two classes living
-in different blocks can be identified exactly when their Gram data and the
-subspace-angle invariants agree under a prescribed pairing, in which case an
-explicit orthogonal witness intertwines them.
+in different blocks can be identified exactly when, under a prescribed
+pairing, per-line sign changes make their signed Gram matrices equal, in
+which case an explicit orthogonal witness intertwines them.
 """
 
 from __future__ import annotations
@@ -15,18 +15,17 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import EikonalError, InvariantViolation
+from .errors import EikonalError
 from .frames import DEFAULT_TOL, gram_schmidt
 
 
 @dataclass(frozen=True)
 class TaggedProjector:
-    """A unit vector with bookkeeping tags (source vertex, indices, end)."""
+    """A unit vector with bookkeeping tags (source vertex, indices)."""
 
     gamma: str
     key: tuple
     vector: np.ndarray
-    end: int | None = None
 
     def __post_init__(self):
         norm = float(np.linalg.norm(self.vector))
@@ -41,20 +40,6 @@ ProjectorFamily = Sequence[TaggedProjector]
 class EquivClass:
     members: tuple[int, ...]
     kappa: int
-
-
-@dataclass(frozen=True)
-class AngleInvariants:
-    """Unitary invariants of an ordered family of lines, in radians."""
-
-    chain: tuple[float, ...]          # angle of L_i to span(L_1..L_{i-1})
-    pairs: Mapping[tuple[int, int], float]
-    triples: Mapping[tuple[int, int, int], float]
-
-    def cosines(self) -> list[float]:
-        """Cosines of chain, pair and triple angles in that fixed order."""
-        angles = (*self.chain, *self.pairs.values(), *self.triples.values())
-        return [float(np.cos(a)) for a in angles]
 
 
 @dataclass(frozen=True)
@@ -119,52 +104,6 @@ def gram_matrix(ps: ProjectorFamily) -> np.ndarray:
     return np.abs(vecs @ vecs.T)
 
 
-def _orthonormal_basis(vectors: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Columns spanning the row space, via SVD."""
-    if vectors.size == 0:
-        return np.zeros((vectors.shape[1] if vectors.ndim == 2 else 0, 0))
-    u, s, vt = np.linalg.svd(vectors, full_matrices=False)
-    rank = int(np.sum(s > tol * s[0])) if s.size and s[0] > 0 else 0
-    return vt[:rank].T
-
-
-def subspace_angle(span_l: np.ndarray, span_m: np.ndarray,
-                   tol: float = DEFAULT_TOL) -> float:
-    """arccos of the largest singular value of P_L P_M, in [0, pi/2].
-
-    Spanning sets are given as rows; a zero spanning set denotes the zero
-    subspace, at right angle to everything.
-    """
-    ql = _orthonormal_basis(np.atleast_2d(span_l), tol)
-    qm = _orthonormal_basis(np.atleast_2d(span_m), tol)
-    if ql.shape[1] == 0 or qm.shape[1] == 0:
-        return float(np.pi / 2)
-    s = np.linalg.svd(ql.T @ qm, compute_uv=False)
-    c = min(1.0, float(s[0]) if s.size else 0.0)
-    return float(np.arccos(c))
-
-
-def angle_invariants(ps: ProjectorFamily, tol: float = DEFAULT_TOL
-                     ) -> AngleInvariants:
-    """All chain, pair and triple subspace angles of the ordered family."""
-    vecs = _vectors(ps)
-    n = len(ps)
-    chain = []
-    for i in range(n):
-        chain.append(subspace_angle(vecs[i:i + 1], vecs[:i], tol))
-    pairs = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            pairs[(i, j)] = subspace_angle(vecs[i:i + 1], vecs[j:j + 1], tol)
-    triples = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            for l in range(j + 1, n):
-                triples[(i, j, l)] = subspace_angle(
-                    vecs[[i, j]], vecs[l:l + 1], tol)
-    return AngleInvariants(tuple(chain), pairs, triples)
-
-
 def _sign_witness(va: np.ndarray, vb: np.ndarray, tol: float) -> np.ndarray | None:
     """Orthogonal map T with T vb_i = +- va_i, if signed Grams can be matched."""
     n = va.shape[0]
@@ -200,9 +139,11 @@ def connection_test(p1: ProjectorFamily, p2: ProjectorFamily,
                     tol: float = DEFAULT_TOL) -> Verdict:
     """Decide whether two single-class families are identified by the pairing.
 
-    Connected requires the pairing to be a bijection, entrywise agreement of
-    the Gram matrices, and agreement of all chain/pair/triple angle
-    invariants (compared on their cosines).  On success the witness is an
+    Two ordered line families are orthogonally equivalent iff per-line sign
+    changes make their signed Gram matrices equal; that signed Gram matrix
+    up to signs is the complete set of angle invariants.  Connected requires
+    the pairing to be a bijection, entrywise agreement of the |Gram|
+    matrices, and such a sign change.  On success the witness is an
     orthogonal map sending each p2 vector onto its p1 partner up to sign, so
     conjugation by it carries the second algebra onto the first.
     """
@@ -216,19 +157,14 @@ def connection_test(p1: ProjectorFamily, p2: ProjectorFamily,
     if len(p2) != n:
         return Verdict(False, "families have different sizes")
     reordered = [p2[pairing[i]] for i in range(n)]
-    g1 = gram_matrix(p1)
-    g2 = gram_matrix(reordered)
-    if float(np.max(np.abs(g1 - g2))) > tol:
+    if float(np.max(np.abs(gram_matrix(p1) - gram_matrix(reordered)))) > tol:
         return Verdict(False, "Gram matrices disagree")
-    c1 = angle_invariants(p1, tol).cosines()
-    c2 = angle_invariants(reordered, tol).cosines()
-    if max(abs(a - b) for a, b in zip(c1, c2)) > tol:
-        return Verdict(False, "angle invariants disagree")
     witness = _sign_witness(_vectors(p1), _vectors(reordered), tol)
     if witness is None:
-        raise InvariantViolation(
-            "invariants agree but no sign-consistent witness exists")
-    return Verdict(True, "gram and angle invariants agree", witness)
+        return Verdict(False, "angle invariants disagree: no per-line sign "
+                              "change makes the signed Gram matrices equal")
+    return Verdict(True, "signed Gram matrices agree up to per-line signs",
+                   witness)
 
 
 def irreducible_reduction(ps: ProjectorFamily, tol: float = DEFAULT_TOL
@@ -246,55 +182,51 @@ def irreducible_reduction(ps: ProjectorFamily, tol: float = DEFAULT_TOL
     return q, images
 
 
-def word_span_dim(mats: Sequence[np.ndarray], tol: float = DEFAULT_TOL,
-                  max_len: int | None = None) -> int:
+def word_span_dim(mats: Sequence[np.ndarray], tol: float = DEFAULT_TOL) -> int:
     """Dimension of the span of all nonempty words in the given matrices.
 
-    Grows the span one multiplication at a time until the rank stabilizes
-    (or the optional word-length cap is hit).
+    Grows orthonormal (vectorized) rows of the span a whole word length at a
+    time.  Each round multiplies every generator by the words that brought
+    new directions in the last round; one generator's products are
+    normalized and projected out of the span twice, and then, largest
+    residual first, each word whose residual is above tol adds a direction
+    (column-pivoted Gram-Schmidt).  A stack is at most (new words) x
+    kappa^2.  Rounds multiply words, not span directions: a direction taken
+    from a small residual carries roundoff divided by that residual.
     """
-    mats = [np.asarray(m, float) for m in mats]
-    if not mats:
+    gens = [np.asarray(m, float) for m in mats]
+    if not gens:
         return 0
-    dim = mats[0].shape[0]
+    dim = gens[0].shape[0]
     cap = dim * dim
-    basis: list[np.ndarray] = []  # orthonormal vectorized span
+    gens = [g / nm for g in gens if (nm := float(np.linalg.norm(g))) > tol]
+    basis = np.zeros((0, cap))
 
-    def absorb(m: np.ndarray) -> np.ndarray | None:
-        """Return the unit-norm matrix if it adds a new direction."""
-        if len(basis) >= cap:
-            return None
-        nm = float(np.linalg.norm(m))
-        if nm <= tol:
-            return None
-        m = m / nm  # residual test is relative to the matrix itself
-        v = m.reshape(-1).copy()
-        for _ in range(2):  # re-orthogonalize: classical GS alone drifts
-            for b in basis:
-                v = v - (v @ b) * b
-        norm = float(np.linalg.norm(v))
-        if norm > tol:
-            basis.append(v / norm)
-            return m
-        return None
+    def absorb(words: np.ndarray) -> np.ndarray:
+        """Add the new directions of a stack of words; return the words that did."""
+        nonlocal basis
+        words = words.reshape(len(words), cap)
+        norms = np.linalg.norm(words, axis=1)
+        keep = (norms > tol) & (len(basis) < cap)  # a full span takes nothing
+        words = words[keep] / norms[keep, None]
+        res = words
+        for _ in range(2):  # re-orthogonalize: one pass alone drifts
+            res = res - (res @ basis.T) @ basis
+        picked = []
+        while len(res) and len(basis) < cap:
+            sizes = np.linalg.norm(res, axis=1)
+            p = int(np.argmax(sizes))
+            if sizes[p] <= tol:
+                break
+            q = res[p] - (basis @ res[p]) @ basis
+            q /= np.linalg.norm(q)
+            res = res - np.outer(res @ q, q)
+            basis = np.vstack([basis, q])
+            picked.append(p)
+        return words[picked]
 
-    unit_gens = []
-    layer = []
-    for m in mats:
-        nm = float(np.linalg.norm(m))
-        if nm > tol:
-            unit_gens.append(m / nm)
-        kept = absorb(m)
-        if kept is not None:
-            layer.append(kept)
-    length = 1
-    while layer and (max_len is None or length < max_len) and len(basis) < cap:
-        nxt = []
-        for m in layer:
-            for gen in unit_gens:
-                kept = absorb(gen @ m)
-                if kept is not None:
-                    nxt.append(kept)
-        layer = nxt
-        length += 1
+    layer = absorb(np.array(gens))
+    while len(layer) and len(basis) < cap:
+        words = layer.reshape(-1, dim, dim)
+        layer = np.vstack([absorb(g @ words) for g in gens])
     return len(basis)

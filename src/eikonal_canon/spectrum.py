@@ -63,7 +63,7 @@ def _commutant_basis(gens: Sequence[np.ndarray], tol: float) -> list[np.ndarray]
         scale = max(1.0, float(np.linalg.norm(g)))
         rows.append((np.kron(eye, g) - np.kron(g.T, eye)) / scale)
     stack = np.vstack(rows)
-    u, s, vt = np.linalg.svd(stack)
+    _, s, vt = np.linalg.svd(stack, full_matrices=False)
     if s.size == 0 or s[0] == 0:
         rank = 0
     else:

@@ -186,6 +186,13 @@ class TestCommands:
                         "--horizon", horizon, "--out", tmp_path / "x"]) == 1
             assert "error:" in capsys.readouterr().err
 
+    def test_bad_tol_exit_1(self, star_file, tmp_path, capsys):
+        for tol in ("-1", "0", "nan", "inf"):
+            assert run(["spectrum", "--graph", star_file, "--sigma", "g1,g2",
+                        "--horizon", "5/4", "--tol", tol,
+                        "--out", tmp_path / "x"]) == 1
+            assert "error: tol" in capsys.readouterr().err
+
     def test_missing_file_exit_1(self, tmp_path):
         assert run(["canonical", "--graph", tmp_path / "missing.txt",
                     "--sigma", "a", "--horizon", "1",

@@ -1,4 +1,4 @@
-"""Projector-family algebra: classes, Gram, angles, connections, reduction."""
+"""Projector-family algebra: classes, Gram, connections, reduction."""
 
 from __future__ import annotations
 
@@ -10,12 +10,10 @@ import pytest
 from eikonal_canon.errors import EikonalError
 from eikonal_canon.projalg import (
     TaggedProjector,
-    angle_invariants,
     connection_test,
     equivalence_classes,
     gram_matrix,
     irreducible_reduction,
-    subspace_angle,
     word_span_dim,
 )
 
@@ -61,43 +59,6 @@ class TestGram:
         g = gram_matrix(fam)
         assert np.allclose(g, g.T)
         assert np.allclose(np.diag(g), 1.0)
-
-
-class TestSubspaceAngle:
-    def test_same_line(self):
-        assert subspace_angle(np.array([[1.0, 0]]), np.array([[2.0, 0]])) == 0.0
-
-    def test_orthogonal_lines(self):
-        a = subspace_angle(np.array([[1.0, 0]]), np.array([[0.0, 1]]))
-        assert a == pytest.approx(math.pi / 2)
-
-    def test_diagonal_line(self):
-        a = subspace_angle(np.array([[1.0, 0]]), np.array([[1.0, 1]]))
-        assert a == pytest.approx(math.pi / 4)
-
-    def test_zero_subspace(self):
-        a = subspace_angle(np.array([[1.0, 0]]), np.zeros((0, 2)))
-        assert a == pytest.approx(math.pi / 2)
-
-
-class TestAngleInvariants:
-    def test_single(self):
-        inv = angle_invariants([tp([1, 0])])
-        assert inv.chain == (pytest.approx(math.pi / 2),)
-        assert inv.pairs == {} and inv.triples == {}
-
-    def test_orthonormal_pair(self):
-        inv = angle_invariants([tp([1, 0]), tp([0, 1])])
-        assert inv.chain[1] == pytest.approx(math.pi / 2)
-        assert inv.pairs[(0, 1)] == pytest.approx(math.pi / 2)
-
-    def test_three_in_plane(self):
-        fam = [tp([1, 0]), tp([1, 1]), tp([0, 1])]
-        inv = angle_invariants(fam)
-        assert inv.chain[1] == pytest.approx(math.pi / 4)
-        assert inv.chain[2] == pytest.approx(0.0, abs=1e-7)
-        assert inv.pairs[(0, 2)] == pytest.approx(math.pi / 2)
-        assert inv.triples[(0, 1, 2)] == pytest.approx(0.0, abs=1e-7)
 
 
 class TestConnectionTest:
@@ -159,6 +120,23 @@ class TestConnectionTest:
         v = connection_test(p1, p2, {0: 0, 1: 1, 2: 2})
         assert not v.connected and "angle" in v.reason
 
+    def test_four_cycle_sign_separates(self):
+        # same |Gram| on a 4-cycle whose chords are zero, so every triangle
+        # has a zero entry; only the sign of the cycle product differs
+        c = 0.4
+
+        def cycle(last_sign):
+            g = np.eye(4)
+            for i, j, s in ((0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, last_sign)):
+                g[i, j] = g[j, i] = s * c
+            return [tp(v) for v in np.linalg.cholesky(g)]
+
+        p1, p2 = cycle(1), cycle(-1)
+        assert np.allclose(gram_matrix(p1), gram_matrix(p2))
+        v = connection_test(p1, p2, {i: i for i in range(4)})
+        assert not v.connected and "angle" in v.reason
+        assert connection_test(p1, cycle(1), {i: i for i in range(4)}).connected
+
     def test_witness_is_algebra_morphism(self):
         rng = np.random.default_rng(9)
         base = rng.normal(size=(3, 4))
@@ -199,6 +177,55 @@ class TestConnectionTest:
             assert v.connected is expect
 
 
+def word_span_dim_reference(mats, tol=1e-9):
+    """Loop reference: absorb one word at a time by double classical GS."""
+    basis = []
+    cap = mats[0].shape[0] ** 2
+
+    def absorb(m):
+        if len(basis) >= cap or np.linalg.norm(m) <= tol:
+            return None
+        m = m / np.linalg.norm(m)
+        v = m.reshape(-1).copy()
+        for _ in range(2):
+            for b in basis:
+                v = v - (v @ b) * b
+        if np.linalg.norm(v) > tol:
+            basis.append(v / np.linalg.norm(v))
+            return m
+        return None
+
+    gens = [m / np.linalg.norm(m) for m in mats if np.linalg.norm(m) > tol]
+    layer = [k for k in map(absorb, mats) if k is not None]
+    while layer and len(basis) < cap:
+        layer = [k for k in (absorb(g @ m) for m in layer for g in gens)
+                 if k is not None]
+    return len(basis)
+
+
+def block_algebra_generators(rng):
+    """2-4 generators of a rotated direct sum of M_k (x) I_m, k <= 3."""
+    parts = [(int(rng.integers(1, 4)), int(rng.integers(1, 3)))
+             for _ in range(rng.integers(1, 4))]
+    n = sum(k * m for k, m in parts)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    gens = []
+    for _ in range(int(rng.integers(2, 5))):
+        g = np.zeros((n, n))
+        o = 0
+        for k, m in parts:
+            if rng.integers(2):
+                v = rng.normal(size=k)
+                a = np.outer(v, v) / (v @ v)
+            else:
+                a = rng.normal(size=(k, k))
+                a = a + a.T
+            g[o:o + k * m, o:o + k * m] = np.kron(a, np.eye(m))
+            o += k * m
+        gens.append(q @ g @ q.T)
+    return gens
+
+
 class TestReductionAndWords:
     def test_full_rank_class(self):
         fam = [tp([1, 0]), tp([1, 1])]
@@ -229,6 +256,21 @@ class TestReductionAndWords:
             (cls,) = equivalence_classes(fam)  # generic vectors: one class
             mats = [np.outer(v, v) for v in vecs]
             assert word_span_dim(mats) == cls.kappa ** 2
+
+    def test_word_span_with_multiplicity(self):
+        # M_2 acting on R^2 (x) R^2 with multiplicity 2: dimension 4, not 16
+        p1 = np.diag([1.0, 0.0])
+        p2 = np.full((2, 2), 0.5)
+        eye = np.eye(2)
+        assert word_span_dim([np.kron(p1, eye), np.kron(p2, eye)]) == 4
+
+    def test_word_span_matches_loop_reference(self):
+        # growing the next round from span directions instead of words
+        # amplifies roundoff and overcounts two of these (49 for 17, 81 for 18)
+        rng = np.random.default_rng(3)
+        for _ in range(40):
+            gens = block_algebra_generators(rng)
+            assert word_span_dim(gens) == word_span_dim_reference(gens)
 
     def test_word_span_block_diagonal(self):
         p = np.diag([1.0, 0.0])
