@@ -248,35 +248,63 @@ def canonicalize_blocks(blocks: Sequence[CanonicalBlock], tol: float = DEFAULT_T
     """Junction connected blocks until none remain; lowest-position-first order.
 
     A joined pair takes the place of its first block; the second is removed.
+    Blocks are named by their position in `blocks`; a joined block keeps the
+    lower name, so names order the blocks as their list positions do.  The
+    candidates are found once: a junction leaves every outer end value in
+    place (the joined taus extend the originals), so it only retires the two
+    seam ends and moves the outer ends onto the joined block.  The lowest
+    untested candidate is tried next, which is the one a rescan from the
+    lowest would pick, since a rejected test is rejected again until one of
+    its blocks changes.  Each rejection leaves a note with its reason.
     """
-    blocks = list(blocks)
+    live = dict(enumerate(blocks))
+    # each end of a candidate: the partner end, and the pairing of this end's
+    # term keys to the partner's
+    link: dict[tuple[int, int], tuple[tuple[int, int], dict]] = {}
+    untested: set[tuple[int, int]] = set()  # lower ends of untested candidates
+
+    def connect(side, far, pairing):
+        link[side] = (far, pairing)
+        link[far] = (side, {v: k for k, v in pairing.items()})
+        untested.add(min(side, far))
+
+    for c in junction_candidates(blocks, boundary_map(blocks)):
+        connect((c.block_a, c.end_a), (c.block_b, c.end_b), dict(c.pairing))
     notes: list[str] = []
     n_junctions = 0
-    while True:
-        for cand in junction_candidates(blocks, boundary_map(blocks)):
-            if cand.block_a == cand.block_b:
-                note = (f"self-junction candidate rejected on block "
-                        f"{cand.block_a} (both ends pair with each other)")
-                if note not in notes:
-                    notes.append(note)
+    while untested:
+        side_a = min(untested)
+        untested.remove(side_a)
+        side_b, pairing = link[side_a]
+        (ia, end_a), (ib, end_b) = side_a, side_b
+        a, b = live[ia], live[ib]
+        idx_a = {(t.gamma, t.k): i for i, t in enumerate(a.terms)}
+        idx_b = {(t.gamma, t.k): i for i, t in enumerate(b.terms)}
+        index_pairing = {idx_a[ka]: idx_b[kb] for ka, kb in pairing.items()}
+        verdict = connection_test(a.tagged(), b.tagged(), index_pairing, tol)
+        if not verdict.connected:
+            note = (f"junction of block {ia} end {end_a} with block {ib} end "
+                    f"{end_b} rejected: {verdict.reason}")
+            if note not in notes:
+                notes.append(note)
+            continue
+        live[ia] = junction(a, end_a, b, end_b, pairing, verdict.witness)
+        del live[ib], link[side_a], link[side_b]
+        n_junctions += 1
+        # the joined block runs a-first under a's term keys: a's outer end
+        # becomes its end 0, b's its end 1.  Its taus are monotone over the
+        # whole length, so the two outer ends never pair with each other.
+        to_a = {kb: ka for ka, kb in pairing.items()}
+        for old, new, keys in (((ia, 1 - end_a), (ia, 0), None),
+                               ((ib, 1 - end_b), (ia, 1), to_a)):
+            if old not in link:
                 continue
-            a, b = blocks[cand.block_a], blocks[cand.block_b]
-            pairing_ab = dict(cand.pairing)
-            idx_a = {(t.gamma, t.k): i for i, t in enumerate(a.terms)}
-            idx_b = {(t.gamma, t.k): i for i, t in enumerate(b.terms)}
-            index_pairing = {idx_a[ka]: idx_b[kb] for ka, kb in pairing_ab.items()}
-            verdict = connection_test(a.tagged(), b.tagged(), index_pairing, tol)
-            if not verdict.connected:
-                continue
-            joined = junction(a, cand.end_a, b, cand.end_b, pairing_ab,
-                              verdict.witness)
-            # candidates come with block_a < block_b
-            blocks[cand.block_a] = joined
-            del blocks[cand.block_b]
-            n_junctions += 1
-            break
-        else:
-            return blocks, n_junctions, notes
+            far, pmap = link.pop(old)
+            if keys is not None:
+                pmap = {keys[k]: v for k, v in pmap.items()}
+            untested.discard(min(old, far))
+            connect(new, far, pmap)
+    return list(live.values()), n_junctions, notes
 
 
 def reduce_block(b: CanonicalBlock, tol: float = DEFAULT_TOL) -> CanonicalBlock:

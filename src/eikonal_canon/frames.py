@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import FrameError, InvariantViolation
 from .impulse import Hydra
-from .metric_graph import Position, eccentricity
+from .metric_graph import ZERO, Position, eccentricity
 from .partition import Partition
 
 DEFAULT_TOL = 1e-9
@@ -67,10 +67,15 @@ def alpha_set(hydra: Hydra, positions: Sequence[Position],
     """Exact amplitudes of one hydra at the grid positions x times."""
     times = tuple(sorted(Fraction(t) for t in times))
     positions = tuple(positions)
-    matrix = tuple(
-        tuple(hydra.amplitude_at(x, t) for x in positions) for t in times
-    )
-    return AlphaSet(positions, times, matrix)
+    row_of = {t: i for i, t in enumerate(times)}
+    rows = [[ZERO] * len(positions) for _ in times]
+    for j, x in enumerate(positions):
+        for t, a in hydra.amplitudes_at(x).items():
+            i = row_of.get(t)
+            if i is not None:
+                rows[i][j] = a
+    # a repeated time reads the row filled under its last index
+    return AlphaSet(positions, times, tuple(tuple(rows[row_of[t]]) for t in times))
 
 
 def gram_schmidt(alpha: AlphaSet | np.ndarray, tol: float = DEFAULT_TOL,

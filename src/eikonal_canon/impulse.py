@@ -113,38 +113,39 @@ class Hydra:
                 found.add(self.graph.position(s.edge, s.offset_at(t)))
         return sorted(found, key=Position.sort_key)
 
-    def amplitude_at(self, pos: Position, t) -> Fraction:
-        """Amplitude carried at a space-time point (0 off the hydra).
+    def amplitudes_at(self, pos: Position) -> dict[Fraction, Fraction]:
+        """Amplitude at every passage time of a position, in one segment scan.
 
         Conventions: 1 at the source (gamma, 0); 0 at boundary vertices for
         t > 0; at interior-vertex events the value is the continuity limit
         (2/mu) * (total incoming amplitude); elsewhere the sum over all
-        characteristics through the point.
+        characteristics through the point.  Times missing from the result
+        carry amplitude 0; a listed amplitude may be 0 where contributions
+        cancel.
         """
-        t = Fraction(t)
         g = self.graph
-        if pos.vertex is not None:
-            v = pos.vertex
-            if v in g.boundary:
-                return Fraction(1) if (v == self.source and t == 0) else ZERO
-            incoming = ZERO
-            hit = False
-            for ei, end in g.incidence(v):
-                e = g.edges[ei]
-                off_v = g.end_offset(e, end)
-                for s in self.segments_on(e.id):
-                    if s.t1 == t and s.off1 == off_v:
-                        incoming += s.amplitude
-                        hit = True
-            if not hit:
-                return ZERO
-            return Fraction(2, g.valence(v)) * incoming
-        total = ZERO
-        for s in self.segments_on(pos.edge):
-            tt = s.time_at_offset(pos.offset)
-            if tt == t:
-                total += s.amplitude
-        return total
+        amps: dict[Fraction, Fraction] = {}
+        if pos.vertex is None:
+            for s in self.segments_on(pos.edge):
+                t = s.time_at_offset(pos.offset)
+                if t is not None:
+                    amps[t] = amps.get(t, ZERO) + s.amplitude
+            return amps
+        v = pos.vertex
+        if v in g.boundary:
+            return {ZERO: Fraction(1)} if v == self.source else amps
+        for ei, end in g.incidence(v):
+            e = g.edges[ei]
+            off_v = g.end_offset(e, end)
+            for s in self.segments_on(e.id):
+                if s.off1 == off_v:
+                    amps[s.t1] = amps.get(s.t1, ZERO) + s.amplitude
+        factor = Fraction(2, g.valence(v))
+        return {t: factor * a for t, a in amps.items()}
+
+    def amplitude_at(self, pos: Position, t) -> Fraction:
+        """Amplitude carried at a space-time point (0 off the hydra)."""
+        return self.amplitudes_at(pos).get(Fraction(t), ZERO)
 
 
 def propagate(g: MetricGraph, source: str, horizon,
@@ -290,8 +291,9 @@ def wave_eval(hydras: Sequence[Hydra], controls: Mapping[str, Callable[[float], 
         phi = controls.get(h.source)
         if phi is None:
             continue
-        for t in h.times_at(x):
-            a = h.amplitude_at(x, t)
+        amps = h.amplitudes_at(x)
+        for t in sorted(amps):
+            a = amps[t]
             if a:
                 total += float(a) * phi(float(horizon - t))
     return total

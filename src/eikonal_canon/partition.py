@@ -9,6 +9,7 @@ time cells and slope +-1 passage-time functions.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -219,12 +220,21 @@ def build_partition(hydras: Sequence[Hydra]) -> Partition:
             for a, b in zip(cuts, cuts[1:]):
                 raw.append((e.id, a, b))
     raw.sort(key=lambda c: (g.edge_pos(c[0]), c[1]))
+    # per edge: the raw indices of its cells, and their starts (ascending)
+    edge_cells: dict[str, list[int]] = {}
+    for idx, (eid, _, _) in enumerate(raw):
+        edge_cells.setdefault(eid, []).append(idx)
+    edge_starts = {eid: [raw[k][1] for k in ks] for eid, ks in edge_cells.items()}
 
     def cell_of(pos: Position) -> int:
         if pos.vertex is not None:
             raise PartitionDefect(f"determination set hit critical point {pos}")
-        for idx, (eid, lo, hi) in enumerate(raw):
-            if eid == pos.edge and lo < pos.offset < hi:
+        # cells on one edge are disjoint, so only the last one starting at or
+        # below the offset can contain it
+        j = bisect_right(edge_starts.get(pos.edge, ()), pos.offset) - 1
+        if j >= 0:
+            idx = edge_cells[pos.edge][j]
+            if raw[idx][1] < pos.offset < raw[idx][2]:
                 return idx
         raise PartitionDefect(f"position {pos} not inside any cell")
 
@@ -263,13 +273,19 @@ def build_partition(hydras: Sequence[Hydra]) -> Partition:
         probe = determination_set(hydras, g.position(members[0][0], first_lo + rstar))
         if len(probe.lam) != len(members) or len(probe.xi) != len(tcells):
             raise PartitionDefect("determination set size varies inside a cell")
+        probe_offsets: dict[str, list[Fraction]] = {}
+        for p in probe.lam:
+            if p.vertex is None:
+                probe_offsets.setdefault(p.edge, []).append(p.offset)
+        for offs in probe_offsets.values():
+            offs.sort()
         cells: list[Cell] = []
         for (ceid, clo, chi) in members:
-            hits = [p for p in probe.lam if p.vertex is None and p.edge == ceid
-                    and clo < p.offset < chi]
-            if len(hits) != 1:
+            offs = probe_offsets.get(ceid, [])
+            i = bisect_right(offs, clo)
+            if bisect_left(offs, chi) - i != 1:
                 raise PartitionDefect("probe point missing in a member cell")
-            off = hits[0].offset
+            off = offs[i]
             if off == clo + rstar:
                 cells.append(Cell(ceid, clo, chi, True))
             elif off == chi - rstar:
@@ -277,13 +293,13 @@ def build_partition(hydras: Sequence[Hydra]) -> Partition:
             else:
                 raise PartitionDefect("probe point is not at parameter r* in its cell")
         slopes: list[int] = []
-        for i, tc in enumerate(tcells):
-            hits = [t for t in probe.xi if tc.start <= t <= tc.end]
-            if len(hits) != 1:
+        for tc in tcells:
+            i = bisect_left(probe.xi, tc.start)
+            if bisect_right(probe.xi, tc.end) - i != 1:
                 raise PartitionDefect("probe time missing in a time cell")
-            if hits[0] == tc.start + rstar:
+            if probe.xi[i] == tc.start + rstar:
                 slopes.append(1)
-            elif hits[0] == tc.end - rstar:
+            elif probe.xi[i] == tc.end - rstar:
                 slopes.append(-1)
             else:
                 raise PartitionDefect("probe time is not at parameter r* in its cell")

@@ -57,12 +57,13 @@ class QuotientGraph:
 def _commutant_basis(gens: Sequence[np.ndarray], tol: float) -> list[np.ndarray]:
     """Nullspace of X -> [X, g] stacked over the given matrices."""
     n = gens[0].shape[0]
-    rows = []
+    n2 = n * n
     eye = np.eye(n)
-    for g in gens:
-        scale = max(1.0, float(np.linalg.norm(g)))
-        rows.append((np.kron(eye, g) - np.kron(g.T, eye)) / scale)
-    stack = np.vstack(rows)
+    stack = np.empty((len(gens) * n2, n2))
+    for i, g in enumerate(gens):
+        rows = stack[i * n2:(i + 1) * n2]
+        np.subtract(np.kron(eye, g), np.kron(g.T, eye), out=rows)
+        rows /= max(1.0, float(np.linalg.norm(g)))
     _, s, vt = np.linalg.svd(stack, full_matrices=False)
     if s.size == 0 or s[0] == 0:
         rank = 0

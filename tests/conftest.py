@@ -104,3 +104,39 @@ def random_admissible_graph(rng: random.Random, max_edges: int = 6,
                 add(leaf, name)
                 boundary.add(name)
     return MetricGraph(edges, boundary=boundary)
+
+
+def reference_amplitude_at(h, pos, t) -> Fraction:
+    """One (x, t) amplitude by its own segment scan: the per-entry query that
+    `Hydra.amplitudes_at` replaced, kept as the reference for it."""
+    t = Fraction(t)
+    g = h.graph
+    if pos.vertex is not None:
+        v = pos.vertex
+        if v in g.boundary:
+            return Fraction(1) if (v == h.source and t == 0) else Fraction(0)
+        incoming = Fraction(0)
+        hit = False
+        for ei, end in g.incidence(v):
+            e = g.edges[ei]
+            off_v = g.end_offset(e, end)
+            for s in h.segments_on(e.id):
+                if s.t1 == t and s.off1 == off_v:
+                    incoming += s.amplitude
+                    hit = True
+        return Fraction(2, g.valence(v)) * incoming if hit else Fraction(0)
+    total = Fraction(0)
+    for s in h.segments_on(pos.edge):
+        if s.time_at_offset(pos.offset) == t:
+            total += s.amplitude
+    return total
+
+
+def probe_positions(g, hydras) -> list:
+    """Every vertex, every hydra segment endpoint and every edge midpoint."""
+    found = {g.vertex_position(v) for v in g.vertices}
+    found |= {g.position(e.id, e.length / 2) for e in g.edges}
+    for h in hydras:
+        for s in h.segments:
+            found |= {g.position(s.edge, s.off0), g.position(s.edge, s.off1)}
+    return sorted(found, key=lambda p: p.sort_key())

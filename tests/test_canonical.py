@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -22,14 +24,17 @@ from eikonal_canon import (
     word_span_dim,
 )
 from eikonal_canon.canonical import (
+    BlockTerm,
     CanonicalBlock,
     Piece,
+    canonicalize_blocks,
+    connection_test,
     junction,
     junction_candidates,
     transpose_block,
 )
 from eikonal_canon.errors import EikonalError
-from eikonal_canon.representation import evaluate_at
+from eikonal_canon.representation import LinearTimeFn, evaluate_at
 
 from conftest import random_admissible_graph
 
@@ -311,3 +316,126 @@ class TestCanonicalize:
             sm = build_spectrum(cf)
             for gamma in gammas:
                 assert list(sm.sigma_ac[gamma]) == sigma_ac(repr_, gamma)
+
+
+def reference_canonicalize_blocks(blocks):
+    """The junction loop that rebuilds the boundary map after every junction
+    and retests every candidate, kept as the reference for the single-build loop."""
+    blocks = list(blocks)
+    n_junctions = 0
+    while True:
+        for cand in junction_candidates(blocks, boundary_map(blocks)):
+            a, b = blocks[cand.block_a], blocks[cand.block_b]
+            pairing = dict(cand.pairing)
+            idx_a = {(t.gamma, t.k): i for i, t in enumerate(a.terms)}
+            idx_b = {(t.gamma, t.k): i for i, t in enumerate(b.terms)}
+            verdict = connection_test(a.tagged(), b.tagged(),
+                                      {idx_a[ka]: idx_b[kb] for ka, kb in pairing.items()})
+            if not verdict.connected:
+                continue
+            blocks[cand.block_a] = junction(a, cand.end_a, b, cand.end_b, pairing,
+                                            verdict.witness)
+            del blocks[cand.block_b]
+            n_junctions += 1
+            break
+        else:
+            return blocks, n_junctions
+
+
+def block_fingerprint(b: CanonicalBlock):
+    return (b.length, b.kappa, b.pieces,
+            [(t.gamma, t.k, t.tau, t.beta.tolist()) for t in b.terms])
+
+
+class TestJunctionLoop:
+    @staticmethod
+    def two_term_block(intercepts, betas):
+        terms = tuple(BlockTerm("g", k, LinearTimeFn(F(c), 1, F(1)), np.array(beta))
+                      for k, (c, beta) in enumerate(zip(intercepts, betas)))
+        return CanonicalBlock(F(1), 2, terms, (Piece(0, F(0), F(1), False),))
+
+    def test_rejected_connection_test_leaves_note(self):
+        s = 1 / math.sqrt(2)
+        # a's end-1 values {1, 6} are b's end-0 values: one candidate, whose
+        # |Gram| matrices differ (off-diagonal 1/sqrt(2) against 0)
+        a = self.two_term_block([0, 5], [[1.0, 0.0], [s, s]])
+        b = self.two_term_block([1, 6], [[1.0, 0.0], [0.0, 1.0]])
+        assert len(junction_candidates([a, b], boundary_map([a, b]))) == 1
+        done, n_junctions, notes = canonicalize_blocks([a, b])
+        assert n_junctions == 0
+        assert done[0] is a and done[1] is b
+        assert notes == ["junction of block 0 end 1 with block 1 end 0 rejected: "
+                         "Gram matrices disagree"]
+        # the same geometry on both sides joins, with no note
+        done, n_junctions, notes = canonicalize_blocks(
+            [a, self.two_term_block([1, 6], [[1.0, 0.0], [s, s]])])
+        assert (len(done), n_junctions, notes) == (1, 1, [])
+
+    @staticmethod
+    def synthetic_blocks(rng: random.Random) -> list[CanonicalBlock]:
+        """Chains of blocks whose ends pair, in shuffled order.
+
+        Each block carries two terms of source g and one of source h, each
+        term's passage time running monotone along its chain, so whole ends
+        pair; g's two terms swap their k labels at random, so pairings map
+        keys across.  A block's betas meet at one of two sets of angles, so
+        some seams fail the |Gram| test; every block turns its betas by its
+        own orthogonal map, and some blocks are transposed.
+        """
+        shapes = [np.array([[1.0, 0.0, 0.0], [0.6, 0.8, 0.0], [0.0, 0.6, 0.8]]),
+                  np.array([[1.0, 0.0, 0.0], [0.8, 0.6, 0.0], [0.0, 0.6, 0.8]])]
+        paths = (("g", 0), ("g", 1), ("h", 0))
+        blocks = []
+        for chain in range(rng.randint(1, 5)):
+            slopes = [rng.choice([1, -1]) for _ in paths]
+            values = [100 * chain + 1000 * p for p in range(len(paths))]
+            for _ in range(rng.randint(1, 6)):
+                length = rng.randint(1, 3)
+                turn, _ = np.linalg.qr(np.array(
+                    [[rng.gauss(0, 1) for _ in range(3)] for _ in range(3)]))
+                betas = rng.choice(shapes) @ turn.T
+                swap = rng.random() < 0.5
+                terms = sorted(
+                    (BlockTerm(gamma, 1 - k if swap and gamma == "g" else k,
+                               LinearTimeFn(F(values[p]), slopes[p], F(length)),
+                               betas[p])
+                     for p, (gamma, k) in enumerate(paths)),
+                    key=lambda t: (t.gamma, t.k))
+                block = CanonicalBlock(F(length), 3, tuple(terms))
+                blocks.append(transpose_block(block) if rng.random() < 0.3 else block)
+                values = [v + slope * length for v, slope in zip(values, slopes)]
+        rng.shuffle(blocks)
+        return [replace(b, pieces=(Piece(i, F(0), b.length, False),))
+                for i, b in enumerate(blocks)]
+
+    def test_synthetic_chains_match_rebuilding_reference(self):
+        rng = random.Random(11)
+        joined = rejected = 0
+        for _ in range(100):
+            blocks = self.synthetic_blocks(rng)
+            done, n_junctions, notes = canonicalize_blocks(blocks)
+            want, want_junctions = reference_canonicalize_blocks(blocks)
+            assert n_junctions == want_junctions
+            assert [block_fingerprint(b) for b in done] == \
+                [block_fingerprint(b) for b in want]
+            joined += n_junctions
+            rejected += len(notes)
+        assert joined > 100 and rejected > 50
+
+    def test_matches_rebuilding_reference(self, star3, star123):
+        rng = random.Random(5)
+        cases = [(star3, ["g1"], F(3, 2)), (star123, ["g1", "g2", "g3"], F(3))]
+        for _ in range(8):
+            g = random_admissible_graph(rng)
+            cases.append((g, sorted(g.boundary)[: rng.randint(1, 3)],
+                          F(rng.randint(2, 8), 4)))
+        joined = 0
+        for g, sigma, T in cases:
+            blocks = split_blocks(make_repr(g, sigma, T)[1])
+            done, n_junctions, _ = canonicalize_blocks(blocks)
+            want, want_junctions = reference_canonicalize_blocks(blocks)
+            assert n_junctions == want_junctions
+            assert [block_fingerprint(b) for b in done] == \
+                [block_fingerprint(b) for b in want]
+            joined += n_junctions
+        assert joined > 10

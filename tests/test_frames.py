@@ -8,12 +8,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eikonal_canon import build_partition, eccentricity, propagate
 from eikonal_canon.errors import FrameError
 from eikonal_canon.frames import alpha_set, family_frames, gram_schmidt
 
-from conftest import random_admissible_graph
+from conftest import probe_positions, random_admissible_graph, reference_amplitude_at
 
 F = Fraction
 RT2 = 1.0 / math.sqrt(2.0)
@@ -42,6 +43,32 @@ class TestAlphaSet:
         h = propagate(star3, "g1", F(3, 2))
         a = alpha_set(h, [star3.position("e2", F(1, 4))], [F(3, 4)])
         assert a.matrix == ((F(0),),)
+
+    @staticmethod
+    def reference(h, positions, times):
+        return tuple(tuple(reference_amplitude_at(h, x, t) for x in positions)
+                     for t in sorted(times))
+
+    @given(st.integers(min_value=0, max_value=10 ** 6), st.booleans(),
+           st.fractions(min_value=F(1, 4), max_value=F(5), max_denominator=8))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_per_entry_reference(self, seed, common, T):
+        g = random_admissible_graph(random.Random(seed), common_denominator=common)
+        hydras = [propagate(g, gamma, T) for gamma in sorted(g.boundary)]
+        positions = probe_positions(g, hydras)
+        for h in hydras:
+            times = {t for x in positions for t in h.times_at(x)} | {T / 3}
+            assert alpha_set(h, positions, times).matrix == \
+                self.reference(h, positions, times)
+
+    def test_family_grids_match_reference(self, star123):
+        hydras = [propagate(star123, gamma, F(3)) for gamma in ("g1", "g3")]
+        part = build_partition(hydras)
+        for fam in part.families:
+            r = fam.epsilon / 3
+            lam, xi = fam.lambda_at(star123, r), fam.times_at(r)
+            for h in hydras:
+                assert alpha_set(h, lam, xi).matrix == self.reference(h, lam, xi)
 
 
 class TestGramSchmidt:

@@ -1,4 +1,4 @@
-"""Golden `parametric` and `canonical` JSON on small fixed instances.
+"""Golden `partition`, `parametric`, `canonical` and `spectrum` JSON.
 
 Exact fields (rationals, indices, dims, slopes, notes) must match the
 recorded goldens exactly; float fields (beta, projector) within 1e-12.
@@ -18,11 +18,18 @@ from eikonal_canon import (
     MetricGraph,
     build_parametric,
     build_partition,
+    build_spectrum,
     canonicalize,
     family_frames,
     propagate,
+    quotient_graph,
 )
-from eikonal_canon.serialize import canonical_json, parametric_json
+from eikonal_canon.serialize import (
+    canonical_json,
+    parametric_json,
+    partition_json,
+    spectrum_json,
+)
 
 F = Fraction
 GOLDEN_PATH = Path(__file__).with_name("golden_json.json")
@@ -42,14 +49,25 @@ def _unit_triangle():
     return MetricGraph(edges, boundary=["b0", "b1", "b2"])
 
 
+def _incommensurate_triangle():
+    """Cycle lengths 6/5, 17/7, 9/8 with pendants 1/2, 5/2, 3: lattice closures
+    grow with the lcm of the denominators."""
+    cycle, pendants = (F(6, 5), F(17, 7), F(9, 8)), (F(1, 2), F(5, 2), F(3))
+    edges = [(f"e{i}", (f"v{i}", f"v{(i + 1) % 3}"), x) for i, x in enumerate(cycle)]
+    edges += [(f"e{3 + i}", (f"v{i}", f"b{i}"), x) for i, x in enumerate(pendants)]
+    return MetricGraph(edges, boundary=["b0", "b1", "b2"])
+
+
 INSTANCES = {
     "star3_g1g2_5/4": (lambda: _star([1, 1, 1]), ("g1", "g2"), F(5, 4)),
     "star123_g1g2g3_3": (lambda: _star([1, 2, 3]), ("g1", "g2", "g3"), F(3)),
     "triangle_b0b1b2_2": (_unit_triangle, ("b0", "b1", "b2"), F(2)),
     "triangle_b0b1b2_5/2": (_unit_triangle, ("b0", "b1", "b2"), F(5, 2)),
+    "incommensurate_b0_2": (_incommensurate_triangle, ("b0",), F(2)),
 }
 """Name -> (graph, Sigma, T).  Between them: junctions (star123, the
-triangle at T=2), blocks with kappa 3 and 8, and one to three sources."""
+triangle at T=2, and a 79-junction chain on the incommensurate triangle),
+blocks with kappa 3 and 8, and one to three sources."""
 
 
 def artifacts(name: str) -> dict:
@@ -58,9 +76,13 @@ def artifacts(name: str) -> dict:
     hydras = [propagate(g, gamma, horizon) for gamma in sigma]
     part = build_partition(hydras)
     repr_ = build_parametric(part, family_frames(part, hydras), shifted=True)
+    form = canonicalize(repr_)
+    sm = build_spectrum(form)
     # round-trip through JSON text, exactly as the CLI writes the artifacts
-    return json.loads(json.dumps({"parametric": parametric_json(repr_),
-                                  "canonical": canonical_json(canonicalize(repr_))}))
+    return json.loads(json.dumps({"partition": partition_json(part),
+                                  "parametric": parametric_json(repr_),
+                                  "canonical": canonical_json(form),
+                                  "spectrum": spectrum_json(sm, quotient_graph(sm))}))
 
 
 def mismatch(got, want, path: str = "$") -> str | None:

@@ -6,12 +6,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eikonal_canon import MetricGraph, propagate, self_intersections, wave_eval
 from eikonal_canon.errors import EventCapExceeded
 from eikonal_canon.impulse import HydraSegment
 
-from conftest import random_admissible_graph
+from conftest import bump, probe_positions, random_admissible_graph, reference_amplitude_at
 
 F = Fraction
 
@@ -184,3 +185,55 @@ class TestWaveEval:
         phi = lambda s: 2.0 * s + 1.0
         val = wave_eval([h], {"a": phi}, interval.vertex_position("a"), F(1, 2))
         assert val == pytest.approx(phi(0.5))
+
+
+@st.composite
+def random_hydras(draw):
+    """Hydras of one to all sources on a conftest random graph."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=10 ** 6)))
+    g = random_admissible_graph(rng, common_denominator=draw(st.booleans()))
+    boundary = sorted(g.boundary)
+    sigma = draw(st.lists(st.sampled_from(boundary), min_size=1, unique=True))
+    T = draw(st.fractions(min_value=F(1, 4), max_value=F(5), max_denominator=8))
+    return g, [propagate(g, gamma, T) for gamma in sorted(sigma)], T
+
+
+def reference_wave_eval(hydras, controls, x, horizon) -> float:
+    """wave_eval as one scan per passage time, the loop amplitudes_at replaced."""
+    horizon = Fraction(horizon)
+    total = 0.0
+    for h in hydras:
+        phi = controls.get(h.source)
+        if phi is None:
+            continue
+        for t in h.times_at(x):
+            a = reference_amplitude_at(h, x, t)
+            if a:
+                total += float(a) * phi(float(horizon - t))
+    return total
+
+
+class TestAmplitudesAgainstReference:
+    @given(random_hydras())
+    @settings(max_examples=40, deadline=None)
+    def test_amplitudes_at_matches_per_entry_scan(self, drawn):
+        g, hydras, _ = drawn
+        for h in hydras:
+            for x in probe_positions(g, hydras):
+                amps = h.amplitudes_at(x)
+                times = h.times_at(x)
+                assert set(amps) <= set(times)
+                for t in times + [F(0), h.horizon, h.horizon / 3]:
+                    want = reference_amplitude_at(h, x, t)
+                    assert amps.get(t, 0) == want
+                    assert h.amplitude_at(x, t) == want
+
+    @given(random_hydras())
+    @settings(max_examples=30, deadline=None)
+    def test_wave_eval_bit_identical_to_reference(self, drawn):
+        g, hydras, T = drawn
+        controls = {h.source: bump(0.05 * (i + 1), float(T) + 0.5)
+                    for i, h in enumerate(hydras)}
+        for x in probe_positions(g, hydras):
+            assert wave_eval(hydras, controls, x, T) == \
+                reference_wave_eval(hydras, controls, x, T)

@@ -73,6 +73,25 @@ class TestBoundaryClusters:
         assert boundary_clusters(big, 0) == [3]
         assert boundary_clusters(big, 1) == [1, 2]
 
+    def test_commutant_basis_matches_stacked_reference(self):
+        # the preallocated stack holds the same rows as stacking the scaled
+        # commutator maps, so the SVD and the basis agree bit for bit
+        from eikonal_canon.spectrum import _commutant_basis
+
+        rng = np.random.default_rng(3)
+        for n, count in ((1, 2), (3, 4), (5, 3)):
+            gens = [rng.normal(size=(n, n)) * rng.choice([0.5, 3.0])
+                    for _ in range(count)]
+            eye = np.eye(n)
+            stack = np.vstack([(np.kron(eye, g) - np.kron(g.T, eye))
+                               / max(1.0, float(np.linalg.norm(g))) for g in gens])
+            _, sv, vt = np.linalg.svd(stack, full_matrices=False)
+            rank = int(np.sum(sv > 1e-9 * max(1.0, sv[0]))) if sv[0] else 0
+            got = _commutant_basis(gens, 1e-9)
+            assert len(got) == len(vt) - rank
+            for x, v in zip(got, vt[rank:]):
+                assert np.array_equal(x, v.reshape(n, n))
+
     def test_summand_dims_bounded(self, star3):
         _, cf = pipeline(star3, ["g1", "g2"], F(5, 4))
         for cb in cf.blocks:
