@@ -15,7 +15,6 @@ from .metric_graph import (
 from .impulse import (
     Hydra,
     HydraSegment,
-    Impulse,
     ScatterEvent,
     propagate,
     self_intersections,
@@ -25,8 +24,8 @@ from .partition import (
     Cell,
     DeterminationSet,
     Family,
+    LinearTimeFn,
     Partition,
-    TimeCell,
     build_partition,
     critical_points,
     determination_set,
@@ -35,7 +34,6 @@ from .partition import (
 from .frames import AlphaSet, BetaFrame, alpha_set, family_frames, gram_schmidt
 from .representation import (
     BlockTerm,
-    LinearTimeFn,
     ParametricRepr,
     ProjBlock,
     apply_projector,
@@ -46,7 +44,6 @@ from .representation import (
 )
 from .projalg import (
     EquivClass,
-    TaggedProjector,
     Verdict,
     connection_test,
     equivalence_classes,

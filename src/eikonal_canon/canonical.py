@@ -21,7 +21,6 @@ import numpy as np
 from .errors import EikonalError, SeamMismatch, StructuralFault
 from .projalg import (
     DEFAULT_TOL,
-    TaggedProjector,
     connection_test,
     equivalence_classes,
     irreducible_reduction,
@@ -65,8 +64,9 @@ class CanonicalBlock:
     def generator_at(self, gamma: str, r) -> np.ndarray:
         return tau_sum(self.terms_of(gamma), self.kappa, r)
 
-    def tagged(self) -> list[TaggedProjector]:
-        return [TaggedProjector(t.gamma, (t.gamma, t.k), t.beta) for t in self.terms]
+    def betas(self) -> np.ndarray:
+        """The term betas as rows, in term order."""
+        return np.array([t.beta for t in self.terms])
 
 
 @dataclass(frozen=True)
@@ -106,8 +106,7 @@ def split_blocks(repr_: ParametricRepr, tol: float = DEFAULT_TOL
                    for t in repr_.block(fam.index, gamma).terms]
         if not entries:
             continue
-        tagged = [TaggedProjector(t.gamma, (t.gamma, t.k), t.beta) for t in entries]
-        for cls in equivalence_classes(tagged, tol):
+        for cls in equivalence_classes([t.beta for t in entries], tol):
             per_gamma_count: Counter[str] = Counter()
             terms = []
             for idx in cls.members:
@@ -186,18 +185,12 @@ def junction_candidates(blocks: Sequence[CanonicalBlock],
                (bm.partner[t].block, bm.partner[t].end) != (bl, end)
                for t in back):
             continue
-        seen.add((bl, end))
         seen.add((tb, te))
         pairs = [((t.gamma, t.k), (bm.partner[t].gamma, bm.partner[t].k))
                  for t in tags]
-        a_side, b_side = (bl, end), (tb, te)
-        if b_side < a_side:
-            a_side, b_side = b_side, a_side
-            pairs = [(kb, ka) for ka, kb in pairs]
-        out.append(JunctionCandidate(a_side[0], a_side[1], b_side[0], b_side[1],
-                                     tuple(sorted(pairs))))
-    out.sort(key=lambda c: (c.block_a, c.end_a, c.block_b, c.end_b))
-    return out
+        # (tb, te) > (bl, end): a lower partner passes these checks and came first
+        out.append(JunctionCandidate(bl, end, tb, te, tuple(sorted(pairs))))
+    return out  # ascending, because the ends are visited in order
 
 
 def transpose_block(b: CanonicalBlock) -> CanonicalBlock:
@@ -281,7 +274,7 @@ def canonicalize_blocks(blocks: Sequence[CanonicalBlock], tol: float = DEFAULT_T
         idx_a = {(t.gamma, t.k): i for i, t in enumerate(a.terms)}
         idx_b = {(t.gamma, t.k): i for i, t in enumerate(b.terms)}
         index_pairing = {idx_a[ka]: idx_b[kb] for ka, kb in pairing.items()}
-        verdict = connection_test(a.tagged(), b.tagged(), index_pairing, tol)
+        verdict = connection_test(a.betas(), b.betas(), index_pairing, tol)
         if not verdict.connected:
             note = (f"junction of block {ia} end {end_a} with block {ib} end "
                     f"{end_b} rejected: {verdict.reason}")
@@ -309,7 +302,7 @@ def canonicalize_blocks(blocks: Sequence[CanonicalBlock], tol: float = DEFAULT_T
 
 def reduce_block(b: CanonicalBlock, tol: float = DEFAULT_TOL) -> CanonicalBlock:
     """Rewrite a block on an orthonormal basis of its projector span."""
-    q, _ = irreducible_reduction(b.tagged(), tol)
+    q, _ = irreducible_reduction(b.betas(), tol)
     terms = tuple(replace(t, beta=q.T @ t.beta) for t in b.terms)
     return replace(b, kappa=q.shape[1], terms=terms)
 
@@ -375,22 +368,18 @@ def equivalent_forms(cf1: CanonicalForm, cf2: CanonicalForm,
     def blocks_match(a: CanonicalBlock, b: CanonicalBlock) -> bool:
         if signature(a) != signature(b):
             return False
-        for flip in (False, True):
-            bb_terms = [replace(t, tau=t.tau.transposed()) if flip else t
-                        for t in b.terms]
-            key_a = sorted(range(len(a.terms)), key=lambda i: (
-                a.terms[i].gamma, a.terms[i].tau.intercept, a.terms[i].tau.slope))
-            key_b = sorted(range(len(bb_terms)), key=lambda i: (
-                bb_terms[i].gamma, bb_terms[i].tau.intercept,
-                bb_terms[i].tau.slope))
-            tags_a = [a.terms[i] for i in key_a]
-            tags_b = [bb_terms[i] for i in key_b]
-            if [( t.gamma, t.tau) for t in tags_a] != [(t.gamma, t.tau) for t in tags_b]:
+
+        def by_tau(terms):
+            return sorted(terms, key=lambda t: (t.gamma, t.tau.intercept, t.tau.slope))
+
+        tags_a = by_tau(a.terms)
+        for bb in (b, transpose_block(b)):
+            tags_b = by_tau(bb.terms)
+            if [(t.gamma, t.tau) for t in tags_a] != [(t.gamma, t.tau) for t in tags_b]:
                 continue
-            fam_a = [TaggedProjector(t.gamma, (t.gamma, t.k), t.beta) for t in tags_a]
-            fam_b = [TaggedProjector(t.gamma, (t.gamma, t.k), t.beta) for t in tags_b]
-            identity = {i: i for i in range(len(fam_a))}
-            if connection_test(fam_a, fam_b, identity, tol).connected:
+            identity = {i: i for i in range(len(tags_a))}
+            if connection_test([t.beta for t in tags_a], [t.beta for t in tags_b],
+                               identity, tol).connected:
                 return True
         return False
 

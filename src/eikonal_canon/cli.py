@@ -131,6 +131,8 @@ def _pipeline(args):
 def run_command(args) -> int:
     out_dir = Path(args.out)
     emit = set(args.emit.split(","))
+    if not emit <= {"json", "dot"}:
+        raise EikonalError(f"emit takes json and/or dot, got {args.emit!r}")
     tol = args.tol
     if not 0 < tol < 1:  # also rejects nan
         raise EikonalError(f"tol must be a finite number in (0, 1), got {tol}")

@@ -8,7 +8,7 @@ determination set, supported only where that source's waves have arrived.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -78,16 +78,14 @@ def alpha_set(hydra: Hydra, positions: Sequence[Position],
     return AlphaSet(positions, times, tuple(tuple(rows[row_of[t]]) for t in times))
 
 
-def gram_schmidt(alpha: AlphaSet | np.ndarray, tol: float = DEFAULT_TOL,
-                 strict_first: bool = True,
-                 support: np.ndarray | None = None) -> BetaFrame:
-    """Three-branch Gram-Schmidt: normalize, orthonormalize, or zero out.
+def gram_schmidt(a: np.ndarray, tol: float = DEFAULT_TOL) -> BetaFrame:
+    """Three-branch Gram-Schmidt of the rows: normalize, orthonormalize, or zero out.
 
     A row whose residual norm is <= tol lies in the span of its predecessors
-    and produces a zero beta.  With strict_first, a zero first row is an
-    error; lenient mode sends it to the zero branch as well.
+    (a zero first row included) and produces a zero beta.  The support is
+    all columns.
     """
-    a = alpha.as_float() if isinstance(alpha, AlphaSet) else np.asarray(alpha, float)
+    a = np.asarray(a, float)
     n, m = a.shape
     betas = np.zeros((n, m))
     rho = np.zeros((n, n))
@@ -102,15 +100,11 @@ def gram_schmidt(alpha: AlphaSet | np.ndarray, tol: float = DEFAULT_TOL,
             coeff -= c * rho[j]
         norm = float(np.linalg.norm(resid))
         if norm <= tol:
-            if i == 0 and strict_first:
-                raise FrameError("first amplitude vector is zero")
             continue
         betas[i] = resid / norm
         rho[i] = coeff / norm
         nonzero.append(i)
-    if support is None:
-        support = np.ones(m, dtype=bool)
-    return BetaFrame(betas, rho, np.asarray(support, bool), tuple(nonzero))
+    return BetaFrame(betas, rho, np.ones(m, dtype=bool), tuple(nonzero))
 
 
 def family_frames(partition: Partition, hydras: Sequence[Hydra],
@@ -147,7 +141,7 @@ def family_frames(partition: Partition, hydras: Sequence[Hydra],
                     f"amplitudes not constant across cells of family {fam.index}")
             gp = g.vertex_position(gamma)
             support = np.array([g.distance(x, gp) <= T for x in lam1], dtype=bool)
-            frame = gram_schmidt(a1, tol, strict_first=False, support=support)
+            frame = replace(gram_schmidt(a1.as_float(), tol), support=support)
             if single and len(frame.nonzero) != frame.n and T < t_fill:
                 raise InvariantViolation(
                     "zero beta row for a single subcritical source; amplitude "

@@ -23,16 +23,6 @@ DEFAULT_EVENT_CAP = 10 ** 6
 
 
 @dataclass(frozen=True)
-class Impulse:
-    """A moving Dirac disturbance: position, signed direction, amplitude."""
-
-    position: Position
-    direction: int
-    amplitude: Fraction
-    birth_time: Fraction
-
-
-@dataclass(frozen=True)
 class HydraSegment:
     """One characteristic: offset(t) = off0 + direction * (t - t0), t in [t0, t1]."""
 
@@ -163,32 +153,27 @@ def propagate(g: MetricGraph, source: str, horizon,
     pending: dict[tuple[Fraction, str], dict[tuple[int, int], Fraction]] = {}
     heap: list[tuple[Fraction, str]] = []
 
-    def depart(imp: Impulse, ei: int, end: int) -> None:
-        """Fly one impulse from a vertex down an edge-end; record its segment."""
-        if imp.birth_time >= horizon:
-            return
+    def launch(t0: Fraction, ei: int, end: int, amp: Fraction) -> None:
+        """Fly an impulse born at t0 from a vertex down an edge-end.
+
+        Records its segment and schedules its arrival at the far vertex.
+        """
+        if amp == 0 or t0 >= horizon:
+            return  # zero-amplitude impulses are never emitted
         e = g.edges[ei]
-        off0 = g.end_offset(e, end)
-        t_arr = imp.birth_time + e.length
-        t1 = min(t_arr, horizon)
-        segments.append(HydraSegment(e.id, imp.birth_time, t1, off0,
-                                     imp.direction, imp.amplitude))
+        t_arr = t0 + e.length
+        segments.append(HydraSegment(e.id, t0, min(t_arr, horizon),
+                                     g.end_offset(e, end), 1 if end == 0 else -1, amp))
         if t_arr <= horizon:
             key = (t_arr, e.ends[1 - end])
             slot = pending.setdefault(key, {})
             if not slot:
                 heapq.heappush(heap, key)
             arr = (ei, 1 - end)
-            slot[arr] = slot.get(arr, ZERO) + imp.amplitude
-
-    def launch(vertex: str, t0: Fraction, ei: int, end: int, amp: Fraction) -> None:
-        if amp == 0:
-            return  # zero-amplitude impulses are never emitted
-        direction = 1 if end == 0 else -1
-        depart(Impulse(g.vertex_position(vertex), direction, amp, t0), ei, end)
+            slot[arr] = slot.get(arr, ZERO) + amp
 
     ei0, end0 = g.incidence(source)[0]
-    launch(source, ZERO, ei0, end0, Fraction(1))
+    launch(ZERO, ei0, end0, Fraction(1))
 
     n_events = 0
     while heap:
@@ -209,14 +194,14 @@ def propagate(g: MetricGraph, source: str, horizon,
             (ei, end), amp = next(iter(slot.items()))
             out = -total
             outgoing.append((g.edges[ei].id, end, out))
-            launch(v, t, ei, end, out)
+            launch(t, ei, end, out)
         else:
             mu = g.valence(v)
             factor = Fraction(2, mu)
             for ei, end in g.incidence(v):
                 out = factor * total - slot.get((ei, end), ZERO)
                 outgoing.append((g.edges[ei].id, end, out))
-                launch(v, t, ei, end, out)
+                launch(t, ei, end, out)
         events.append(ScatterEvent(v, t, incoming, tuple(sorted(outgoing))))
 
     segments.sort(key=lambda s: (s.t0, g.edge_pos(s.edge), s.off0, s.direction))
@@ -250,14 +235,12 @@ def union_positions_at(hydras: Sequence[Hydra], t) -> list[Position]:
     return sorted(found, key=Position.sort_key)
 
 
-def self_intersections(hydras: Hydra | Sequence[Hydra]) -> set[tuple[Position, Fraction]]:
+def self_intersections(hydras: Sequence[Hydra]) -> set[tuple[Position, Fraction]]:
     """Transversal crossings of characteristic pairs, within and across hydras.
 
     Pairs that only touch at segment endpoints are vertex events, not
     crossings, and are excluded.
     """
-    if isinstance(hydras, Hydra):
-        hydras = [hydras]
     check_same_stage(hydras)
     g = hydras[0].graph
     by_edge: dict[str, list[HydraSegment]] = {}

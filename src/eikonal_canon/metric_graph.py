@@ -51,14 +51,11 @@ class Position:
 class MetricGraph:
     """Immutable metric graph; build once, then treat as read-only."""
 
-    def __init__(self, edges: Iterable[Edge | tuple], boundary: Iterable[str]):
-        norm = []
-        for e in edges:
-            if not isinstance(e, Edge):
-                eid, ends, length = e
-                e = Edge(str(eid), (str(ends[0]), str(ends[1])), Fraction(length))
-            norm.append(e)
-        self.edges: tuple[Edge, ...] = tuple(norm)
+    def __init__(self, edges: Iterable[tuple], boundary: Iterable[str]):
+        """edges: (id, (end0, end1), length) triples."""
+        self.edges: tuple[Edge, ...] = tuple(
+            Edge(str(eid), (str(ends[0]), str(ends[1])), Fraction(length))
+            for eid, ends, length in edges)
         if len({e.id for e in self.edges}) != len(self.edges):
             raise InvalidGraphError("duplicate edge id")
         self.boundary: frozenset[str] = frozenset(str(v) for v in boundary)
@@ -280,10 +277,8 @@ class BallTrace:
     vertices: frozenset[str]
 
 
-def metric_ball(g: MetricGraph, points: Sequence[Position] | Position, r) -> BallTrace:
+def metric_ball(g: MetricGraph, points: Sequence[Position], r) -> BallTrace:
     """Open neighborhood of radius r around a set of positions."""
-    if isinstance(points, Position):
-        points = [points]
     r = Fraction(r)
     if r <= 0:
         raise InvalidGraphError("metric ball radius must be positive")

@@ -4,17 +4,17 @@ The lattice closure of a hydra point set is its equivalence class under the
 same-position / same-time neighbor relation.  Projecting closures of corner
 points yields the finite critical set; the rest of the filled region splits
 into families of equal-length cells swept together, each family carrying
-time cells and slope +-1 passage-time functions.
+its slope +-1 passage-time functions.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import ClosureCapExceeded, PartitionDefect
+from .errors import ClosureCapExceeded, EikonalError, PartitionDefect
 from .impulse import Hydra, check_same_stage, self_intersections, union_positions_at, union_times_at
 from .metric_graph import MetricGraph, Position, covered_intervals
 
@@ -54,52 +54,69 @@ class Cell:
 
 
 @dataclass(frozen=True)
-class TimeCell:
-    start: Fraction
-    end: Fraction
+class LinearTimeFn:
+    """t(r) = intercept + slope * r on [0, length], slope in {+1, -1}."""
 
-    @property
-    def length(self) -> Fraction:
-        return self.end - self.start
+    intercept: Fraction
+    slope: int
+    length: Fraction
+
+    def __post_init__(self):
+        if self.slope not in (1, -1):
+            raise EikonalError(f"slope must be +-1, got {self.slope}")
+
+    def __call__(self, r) -> Fraction:
+        r = Fraction(r)
+        if not 0 <= r <= self.length:
+            raise EikonalError(f"parameter {r} outside [0, {self.length}]")
+        return self.intercept + self.slope * r
+
+    def end_value(self, end: int) -> Fraction:
+        return self(self.length) if end else self.intercept
+
+    def range_interval(self) -> tuple[Fraction, Fraction]:
+        a, b = self.intercept, self(self.length)
+        return (a, b) if a <= b else (b, a)
+
+    def shifted(self, delta=1) -> "LinearTimeFn":
+        return replace(self, intercept=self.intercept + Fraction(delta))
+
+    def transposed(self) -> "LinearTimeFn":
+        """Reverse the parameter direction: t'(r) = t(length - r)."""
+        return LinearTimeFn(self(self.length), -self.slope, self.length)
+
+    def extended(self, new_length: Fraction) -> "LinearTimeFn":
+        return replace(self, length=Fraction(new_length))
 
 
 @dataclass(frozen=True)
 class Family:
-    """Cells swept together, their time cells, and per-cell tau descriptors.
+    """Cells swept together and their passage-time functions.
 
-    tau_slopes[i] == +1 realizes tau_i(r) = start_i + r, slope -1 realizes
-    tau_i(r) = end_i - r; both agree with the stored time cell.
+    taus[i] is the (unshifted) time of the i-th passage through the cells as
+    a function of the family parameter r in [0, epsilon]; its range is the
+    i-th time cell, and the time cells ascend.
     """
 
     index: int
     cells: tuple[Cell, ...]
     epsilon: Fraction
-    time_cells: tuple[TimeCell, ...]
-    tau_slopes: tuple[int, ...]
+    taus: tuple[LinearTimeFn, ...]
 
     @property
     def n_times(self) -> int:
-        return len(self.time_cells)
+        return len(self.taus)
 
     @property
     def dim(self) -> int:
         return len(self.cells)
-
-    def tau_value(self, i: int, r) -> Fraction:
-        r = Fraction(r)
-        if not 0 <= r <= self.epsilon:
-            raise ValueError(f"parameter {r} outside [0, {self.epsilon}]")
-        if not 0 <= i < self.n_times:
-            raise IndexError(f"tau index {i} out of range")
-        cell = self.time_cells[i]
-        return cell.start + r if self.tau_slopes[i] == 1 else cell.end - r
 
     def lambda_at(self, g: MetricGraph, r) -> list[Position]:
         r = Fraction(r)
         return [g.position(c.edge, c.offset_at(r)) for c in self.cells]
 
     def times_at(self, r) -> list[Fraction]:
-        return [self.tau_value(i, r) for i in range(self.n_times)]
+        return [tau(r) for tau in self.taus]
 
     def locate(self, g: MetricGraph, pos: Position) -> tuple[int, Fraction] | None:
         """(cell index, parameter) for a regular position inside this family."""
@@ -260,11 +277,11 @@ def build_partition(hydras: Sequence[Hydra]) -> Partition:
             raise PartitionDefect("cells of unequal length within a family")
 
         # time cells: midpoint xi values are exactly the time-cell midpoints
-        tcells = [TimeCell(t - eps / 2, t + eps / 2) for t in mid.xi]
-        if tcells and (tcells[0].start < 0 or tcells[-1].end > T):
+        tcells = [(t - eps / 2, t + eps / 2) for t in mid.xi]
+        if tcells and (tcells[0][0] < 0 or tcells[-1][1] > T):
             raise PartitionDefect("time cell outside [0, horizon]")
-        for a, b in zip(tcells, tcells[1:]):
-            if a.end > b.start:
+        for (_, end), (start, _) in zip(tcells, tcells[1:]):
+            if end > start:
                 raise PartitionDefect("overlapping time cells in one family")
 
         # orientations from a second, off-center sample at r* = eps/4
@@ -292,19 +309,19 @@ def build_partition(hydras: Sequence[Hydra]) -> Partition:
                 cells.append(Cell(ceid, clo, chi, False))
             else:
                 raise PartitionDefect("probe point is not at parameter r* in its cell")
-        slopes: list[int] = []
-        for tc in tcells:
-            i = bisect_left(probe.xi, tc.start)
-            if bisect_right(probe.xi, tc.end) - i != 1:
+        taus: list[LinearTimeFn] = []
+        for start, end in tcells:
+            i = bisect_left(probe.xi, start)
+            if bisect_right(probe.xi, end) - i != 1:
                 raise PartitionDefect("probe time missing in a time cell")
-            if probe.xi[i] == tc.start + rstar:
-                slopes.append(1)
-            elif probe.xi[i] == tc.end - rstar:
-                slopes.append(-1)
+            if probe.xi[i] == start + rstar:
+                taus.append(LinearTimeFn(start, 1, eps))
+            elif probe.xi[i] == end - rstar:
+                taus.append(LinearTimeFn(end, -1, eps))
             else:
                 raise PartitionDefect("probe time is not at parameter r* in its cell")
 
-        fam = Family(len(families), tuple(cells), eps, tuple(tcells), tuple(slopes))
+        fam = Family(len(families), tuple(cells), eps, tuple(taus))
         families.append(fam)
         for k in member_idx:
             assigned[k] = fam.index

@@ -20,23 +20,6 @@ from .frames import DEFAULT_TOL, gram_schmidt
 
 
 @dataclass(frozen=True)
-class TaggedProjector:
-    """A unit vector with bookkeeping tags (source vertex, indices)."""
-
-    gamma: str
-    key: tuple
-    vector: np.ndarray
-
-    def __post_init__(self):
-        norm = float(np.linalg.norm(self.vector))
-        if abs(norm - 1.0) > 1e-6:
-            raise EikonalError(f"projector vector has norm {norm}, expected 1")
-
-
-ProjectorFamily = Sequence[TaggedProjector]
-
-
-@dataclass(frozen=True)
 class EquivClass:
     members: tuple[int, ...]
     kappa: int
@@ -49,17 +32,15 @@ class Verdict:
     witness: np.ndarray | None = None
 
 
-def _vectors(ps: ProjectorFamily) -> np.ndarray:
-    return np.array([p.vector for p in ps], dtype=float)
-
-
-def numerical_rank(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> int:
-    if matrix.size == 0:
-        return 0
-    s = np.linalg.svd(matrix, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol * s[0]))
+def _unit_rows(vectors) -> np.ndarray:
+    """The vectors as the rows of a float array; each must have norm 1."""
+    vecs = np.asarray(vectors, dtype=float)
+    if len(vecs):
+        norms = np.linalg.norm(vecs, axis=1)
+        worst = float(norms[np.argmax(np.abs(norms - 1.0))])
+        if not abs(worst - 1.0) <= 1e-6:
+            raise EikonalError(f"projector vector has norm {worst}, expected 1")
+    return vecs
 
 
 def connected_classes(n: int, linked: Callable[[int, int], bool]
@@ -88,26 +69,28 @@ def connected_classes(n: int, linked: Callable[[int, int], bool]
     return [tuple(groups[root]) for root in sorted(groups)]
 
 
-def equivalence_classes(ps: ProjectorFamily, tol: float = DEFAULT_TOL
-                        ) -> list[EquivClass]:
-    """Transitive closure of |<b_i, b_j>| > tol, ordered by smallest member."""
-    vecs = _vectors(ps)
+def equivalence_classes(vectors, tol: float = DEFAULT_TOL) -> list[EquivClass]:
+    """Transitive closure of |<b_i, b_j>| > tol over unit-vector rows.
+
+    Classes come by smallest member; kappa is the dimension of the span.
+    """
+    vecs = _unit_rows(vectors)
     classes = connected_classes(
-        len(ps), lambda i, j: abs(float(vecs[i] @ vecs[j])) > tol)
-    return [EquivClass(members, numerical_rank(vecs[list(members)], tol))
+        len(vecs), lambda i, j: abs(float(vecs[i] @ vecs[j])) > tol)
+    return [EquivClass(members, len(gram_schmidt(vecs[list(members)], tol).nonzero))
             for members in classes]
 
 
-def gram_matrix(ps: ProjectorFamily) -> np.ndarray:
+def gram_matrix(vectors) -> np.ndarray:
     """|<b_i, b_j>| entrywise; equals the pairwise projector product norms."""
-    vecs = _vectors(ps)
+    vecs = _unit_rows(vectors)
     return np.abs(vecs @ vecs.T)
 
 
-def _sign_witness(va: np.ndarray, vb: np.ndarray, tol: float) -> np.ndarray | None:
-    """Orthogonal map T with T vb_i = +- va_i, if signed Grams can be matched."""
+def _sign_witness(va: np.ndarray, vb: np.ndarray, ga: np.ndarray, gb: np.ndarray,
+                  tol: float) -> np.ndarray | None:
+    """Orthogonal map T with T vb_i = +- va_i, if the signed Grams ga, gb match."""
     n = va.shape[0]
-    ga, gb = va @ va.T, vb @ vb.T
     signs = np.zeros(n)
     # the class is connected under |g| > tol, so a BFS assigns all signs
     for start in range(n):
@@ -134,10 +117,9 @@ def _sign_witness(va: np.ndarray, vb: np.ndarray, tol: float) -> np.ndarray | No
     return t
 
 
-def connection_test(p1: ProjectorFamily, p2: ProjectorFamily,
-                    pairing: Mapping[int, int],
+def connection_test(p1, p2, pairing: Mapping[int, int],
                     tol: float = DEFAULT_TOL) -> Verdict:
-    """Decide whether two single-class families are identified by the pairing.
+    """Decide whether two single-class unit-vector families match under the pairing.
 
     Two ordered line families are orthogonally equivalent iff per-line sign
     changes make their signed Gram matrices equal; that signed Gram matrix
@@ -147,6 +129,7 @@ def connection_test(p1: ProjectorFamily, p2: ProjectorFamily,
     orthogonal map sending each p2 vector onto its p1 partner up to sign, so
     conjugation by it carries the second algebra onto the first.
     """
+    p1, p2 = _unit_rows(p1), _unit_rows(p2)
     n = len(p1)
     if sorted(pairing.keys()) != list(range(n)):
         raise EikonalError("pairing is not total on the first family")
@@ -156,10 +139,11 @@ def connection_test(p1: ProjectorFamily, p2: ProjectorFamily,
         return Verdict(False, "pairing is not onto the second family")
     if len(p2) != n:
         return Verdict(False, "families have different sizes")
-    reordered = [p2[pairing[i]] for i in range(n)]
-    if float(np.max(np.abs(gram_matrix(p1) - gram_matrix(reordered)))) > tol:
+    reordered = p2[[pairing[i] for i in range(n)]]
+    ga, gb = p1 @ p1.T, reordered @ reordered.T
+    if float(np.max(np.abs(np.abs(ga) - np.abs(gb)))) > tol:
         return Verdict(False, "Gram matrices disagree")
-    witness = _sign_witness(_vectors(p1), _vectors(reordered), tol)
+    witness = _sign_witness(p1, reordered, ga, gb, tol)
     if witness is None:
         return Verdict(False, "angle invariants disagree: no per-line sign "
                               "change makes the signed Gram matrices equal")
@@ -167,14 +151,14 @@ def connection_test(p1: ProjectorFamily, p2: ProjectorFamily,
                    witness)
 
 
-def irreducible_reduction(ps: ProjectorFamily, tol: float = DEFAULT_TOL
+def irreducible_reduction(vectors, tol: float = DEFAULT_TOL
                           ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Orthonormal basis of the class span and the projectors in that basis.
+    """Orthonormal basis of the span of unit-vector rows and their projectors in it.
 
     Returns (basis Q with kappa columns, kappa x kappa images Q^T P_i Q).
     """
-    vecs = _vectors(ps)
-    q = gram_schmidt(vecs, tol, strict_first=False).nonzero_matrix().T
+    vecs = _unit_rows(vectors)
+    q = gram_schmidt(vecs, tol).nonzero_matrix().T
     images = []
     for v in vecs:
         w = q.T @ v

@@ -8,7 +8,7 @@ the reachable-set projector into a unit and moves the spectrum to [1, T+1].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -17,43 +17,7 @@ import numpy as np
 from .errors import EikonalError, MissingSampleError
 from .frames import BetaFrame, DEFAULT_TOL
 from .metric_graph import Position, merge_intervals
-from .partition import Family, Partition
-
-
-@dataclass(frozen=True)
-class LinearTimeFn:
-    """t(r) = intercept + slope * r on [0, length], slope in {+1, -1}."""
-
-    intercept: Fraction
-    slope: int
-    length: Fraction
-
-    def __post_init__(self):
-        if self.slope not in (1, -1):
-            raise EikonalError(f"slope must be +-1, got {self.slope}")
-
-    def __call__(self, r) -> Fraction:
-        r = Fraction(r)
-        if not 0 <= r <= self.length:
-            raise EikonalError(f"parameter {r} outside [0, {self.length}]")
-        return self.intercept + self.slope * r
-
-    def end_value(self, end: int) -> Fraction:
-        return self(self.length) if end else self.intercept
-
-    def range_interval(self) -> tuple[Fraction, Fraction]:
-        a, b = self.intercept, self(self.length)
-        return (a, b) if a <= b else (b, a)
-
-    def shifted(self, delta=1) -> "LinearTimeFn":
-        return replace(self, intercept=self.intercept + Fraction(delta))
-
-    def transposed(self) -> "LinearTimeFn":
-        """Reverse the parameter direction: t'(r) = t(length - r)."""
-        return LinearTimeFn(self(self.length), -self.slope, self.length)
-
-    def extended(self, new_length: Fraction) -> "LinearTimeFn":
-        return replace(self, length=Fraction(new_length))
+from .partition import Family, LinearTimeFn, Partition
 
 
 @dataclass(frozen=True)
@@ -110,17 +74,12 @@ class ParametricRepr:
         return self.blocks[(family_index, gamma)]
 
 
-def projector_block(frame: BetaFrame | np.ndarray,
-                    tol: float = DEFAULT_TOL) -> np.ndarray:
-    """B* B for an orthonormal frame: the matrix of the projector onto span."""
-    B = frame.nonzero_matrix() if isinstance(frame, BetaFrame) else np.asarray(frame, float)
-    if B.size:
-        gram = B @ B.T
-        if float(np.max(np.abs(gram - np.eye(B.shape[0])))) > 10 * tol:
-            raise EikonalError("frame rows are not orthonormal")
-        return B.T @ B
-    m = frame.dim if isinstance(frame, BetaFrame) else 0
-    return np.zeros((m, m))
+def projector_block(rows: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """B* B for orthonormal rows B: the matrix of the projector onto their span."""
+    B = np.asarray(rows, float)
+    if B.size and float(np.max(np.abs(B @ B.T - np.eye(B.shape[0])))) > 10 * tol:
+        raise EikonalError("frame rows are not orthonormal")
+    return B.T @ B
 
 
 def build_parametric(partition: Partition,
@@ -138,10 +97,7 @@ def build_parametric(partition: Partition,
                 raise EikonalError("frame and family shapes disagree")
             terms = []
             for i in frame.nonzero:
-                tc = fam.time_cells[i]
-                slope = fam.tau_slopes[i]
-                intercept = tc.start if slope == 1 else tc.end
-                tau = LinearTimeFn(intercept, slope, fam.epsilon)
+                tau = fam.taus[i]
                 if shifted:
                     tau = tau.shifted(1)
                 terms.append(BlockTerm(gamma, i, tau, frame.vectors[i].copy()))

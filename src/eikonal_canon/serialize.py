@@ -88,8 +88,9 @@ def partition_json(part: Partition) -> dict:
                     }
                     for c in fam.cells
                 ],
-                "time_cells": [[rat(tc.start), rat(tc.end)] for tc in fam.time_cells],
-                "tau_slopes": list(fam.tau_slopes),
+                "time_cells": [[rat(x) for x in tau.range_interval()]
+                               for tau in fam.taus],
+                "tau_slopes": [tau.slope for tau in fam.taus],
             }
             for fam in part.families
         ],

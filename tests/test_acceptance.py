@@ -36,7 +36,6 @@ from eikonal_canon import (
     split_blocks,
     word_span_dim,
 )
-from eikonal_canon.projalg import TaggedProjector
 from eikonal_canon.representation import merge_intervals
 
 from conftest import bump, random_admissible_graph
@@ -153,8 +152,8 @@ def test_criterion_4_spectrum_filling():
     checked = 0
     for g, gamma, T in subcritical_instances(0xC444, 200):
         hydras, part, repr_ = pipeline(g, [gamma], T)
-        cells = [(tc.start + 1, tc.end + 1)
-                 for fam in part.families for tc in fam.time_cells]
+        cells = [tau.shifted(1).range_interval()
+                 for fam in part.families for tau in fam.taus]
         if merge_intervals(cells) != [(F(1), T + 1)]:
             report("criterion 4: spectrum filling", False,
                    f"cells do not merge to [1, {T + 1}]")
@@ -339,22 +338,22 @@ def test_criterion_9_cluster_emergence(star3):
 
 def test_criterion_10_connection_ground_truths():
     """The three stated connection verdicts, symmetric under argument swap."""
-    def tp(vec):
+    def unit(vec):
         v = np.asarray(vec, float)
-        return TaggedProjector("g", (0,), v / np.linalg.norm(v))
+        return v / np.linalg.norm(v)
 
-    identical = [tp([1, 0]), tp([1, 1])]
+    identical = [unit([1, 0]), unit([1, 1])]
     v1 = connection_test(identical, identical, {0: 0, 1: 1})
     ok = v1.connected and np.allclose(v1.witness, np.eye(2), atol=1e-9)
 
-    p1 = [tp([1, 0]), tp([1, 1])]
-    p2 = [tp([1, 0]), tp([0, 1])]
+    p1 = [unit([1, 0]), unit([1, 1])]
+    p2 = [unit([1, 0]), unit([0, 1])]
     v2 = connection_test(p1, p2, {0: 0, 1: 1})
     v2b = connection_test(p2, p1, {0: 0, 1: 1})
     ok &= (not v2.connected) and (not v2b.connected)
 
-    r1 = [tp([1, 0, 0])]
-    r2 = [tp([0, 1])]
+    r1 = [unit([1, 0, 0])]
+    r2 = [unit([0, 1])]
     v3 = connection_test(r1, r2, {0: 0})
     v3b = connection_test(r2, r1, {0: 0})
     ok &= v3.connected and v3b.connected

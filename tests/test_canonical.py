@@ -115,7 +115,7 @@ class TestJunction:
         from eikonal_canon import connection_test
 
         a, b = blocks[0], blocks[1]
-        verdict = connection_test(a.tagged(), b.tagged(), {0: 0})
+        verdict = connection_test(a.betas(), b.betas(), {0: 0})
         assert verdict.connected
         joined = junction(a, 1, b, 0, {("g1", 0): ("g1", 0)}, verdict.witness)
         assert joined.length == F(1)
@@ -329,7 +329,7 @@ def reference_canonicalize_blocks(blocks):
             pairing = dict(cand.pairing)
             idx_a = {(t.gamma, t.k): i for i, t in enumerate(a.terms)}
             idx_b = {(t.gamma, t.k): i for i, t in enumerate(b.terms)}
-            verdict = connection_test(a.tagged(), b.tagged(),
+            verdict = connection_test(a.betas(), b.betas(),
                                       {idx_a[ka]: idx_b[kb] for ka, kb in pairing.items()})
             if not verdict.connected:
                 continue

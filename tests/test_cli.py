@@ -193,6 +193,14 @@ class TestCommands:
                         "--out", tmp_path / "x"]) == 1
             assert "error: tol" in capsys.readouterr().err
 
+    def test_bad_emit_exit_1(self, star_file, tmp_path, capsys):
+        for emit in ("xml", "", "json,xml"):
+            assert run(["spectrum", "--graph", star_file, "--sigma", "g1",
+                        "--horizon", "3/2", "--emit", emit,
+                        "--out", tmp_path / "x"]) == 1
+            assert "error: emit" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_missing_file_exit_1(self, tmp_path):
         assert run(["canonical", "--graph", tmp_path / "missing.txt",
                     "--sigma", "a", "--horizon", "1",

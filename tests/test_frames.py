@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eikonal_canon import build_partition, eccentricity, propagate
-from eikonal_canon.errors import FrameError
 from eikonal_canon.frames import alpha_set, family_frames, gram_schmidt
 
 from conftest import probe_positions, random_admissible_graph, reference_amplitude_at
@@ -89,14 +88,8 @@ class TestGramSchmidt:
         assert frame.nonzero == (0,)
         assert np.allclose(frame.vectors[1], 0)
 
-    def test_zero_first_strict_raises(self):
-        with pytest.raises(FrameError):
-            gram_schmidt(np.array([[0.0, 0.0], [1.0, 0.0]]))
-
     def test_zero_first_lenient(self):
-        frame = gram_schmidt(
-            np.array([[0.0, 0.0], [1.0, 0.0]]), strict_first=False
-        )
+        frame = gram_schmidt(np.array([[0.0, 0.0], [1.0, 0.0]]))
         assert frame.nonzero == (1,)
 
     def test_transition_reconstructs(self):

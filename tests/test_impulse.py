@@ -135,7 +135,7 @@ class TestQueries:
 class TestIntersections:
     def test_single_segment_none(self, interval):
         h = propagate(interval, "a", F(1, 2))
-        assert self_intersections(h) == set()
+        assert self_intersections([h]) == set()
 
     def test_two_hydras_cross_midpoint(self, interval):
         ha = propagate(interval, "a", 1)
@@ -146,7 +146,7 @@ class TestIntersections:
 
     def test_star_short_horizon_none(self, star3):
         h = propagate(star3, "g1", F(3, 2))
-        assert self_intersections(h) == set()
+        assert self_intersections([h]) == set()
 
     def test_self_crossing_with_unequal_legs(self):
         # legs 1,1,2: the -2/9 impulse entering e3 at t=3 crosses the -2/3
@@ -156,7 +156,7 @@ class TestIntersections:
             boundary=["g1", "g2", "g3"],
         )
         h = propagate(g, "g1", F(9, 2))
-        pts = self_intersections(h)
+        pts = self_intersections([h])
         assert (g.position("e3", 1), F(4)) in pts
         # rule 2: the amplitude at a crossing is the sum of both branches
         assert h.amplitude_at(g.position("e3", 1), 4) == F(-2, 9) + F(-2, 3)

@@ -166,18 +166,18 @@ class TestEccentricity:
 
 class TestMetricBall:
     def test_interval_left_half(self, interval):
-        trace = metric_ball(interval, interval.vertex_position("a"), F(1, 2))
+        trace = metric_ball(interval, [interval.vertex_position("a")], F(1, 2))
         assert trace.intervals == {"e0": ((F(0), F(1, 2), True, False),)}
         assert trace.vertices == {"a"}
 
     def test_whole_graph(self, star3):
-        trace = metric_ball(star3, star3.vertex_position("g1"), 3)
+        trace = metric_ball(star3, [star3.vertex_position("g1")], 3)
         assert set(trace.vertices) == set(star3.vertices)
         for e in star3.edges:
             assert trace.intervals[e.id] == ((F(0), e.length, True, True),)
 
     def test_star_three_halves(self, star3):
-        trace = metric_ball(star3, star3.vertex_position("g1"), F(3, 2))
+        trace = metric_ball(star3, [star3.vertex_position("g1")], F(3, 2))
         assert trace.intervals["e1"] == ((F(0), F(1), True, True),)
         assert trace.intervals["e2"] == ((F(0), F(1, 2), True, False),)
         assert trace.intervals["e3"] == ((F(0), F(1, 2), True, False),)

@@ -15,6 +15,8 @@ from eikonal_canon import (
     propagate,
     wave_eval,
 )
+from eikonal_canon import partition
+from eikonal_canon.errors import PartitionDefect
 from conftest import bump, random_admissible_graph
 
 F = Fraction
@@ -122,9 +124,21 @@ class TestBuildPartition:
             ("e0", F(0), F(1, 2), True)
         ]
         assert fam.epsilon == F(1, 2)
-        assert [(tc.start, tc.end) for tc in fam.time_cells] == [(F(0), F(1, 2))]
-        assert fam.tau_slopes == (1,)
-        assert fam.tau_value(0, F(1, 4)) == F(1, 4)
+        assert [tau.range_interval() for tau in fam.taus] == [(F(0), F(1, 2))]
+        assert [tau.slope for tau in fam.taus] == [1]
+        assert fam.taus[0](F(1, 4)) == F(1, 4)
+
+    def test_missing_critical_point_is_a_defect(self, star3, star_hydra, monkeypatch):
+        # without the cut at e1@1/2, e1 is one cell whose midpoint is that
+        # point, and its determination set holds critical points (e2@1/2):
+        # the self-check must raise, not build a family
+        full = partition.critical_points
+        dropped = star3.position("e1", F(1, 2))
+        assert dropped in full([star_hydra])
+        monkeypatch.setattr(partition, "critical_points", lambda hydras: tuple(
+            p for p in full(hydras) if p != dropped))
+        with pytest.raises(PartitionDefect, match="not inside any cell"):
+            build_partition([star_hydra])
 
     def test_star_two_families(self, star3, star_hydra):
         part = build_partition([star_hydra])
@@ -138,24 +152,25 @@ class TestBuildPartition:
             (("e1", F(1, 2), F(1)), ("e2", F(0), F(1, 2)), ("e3", F(0), F(1, 2)))
         ]
         assert fam1.epsilon == fam2.epsilon == F(1, 2)
-        assert [(tc.start, tc.end) for tc in fam2.time_cells] == [
+        assert [tau.range_interval() for tau in fam2.taus] == [
             (F(1, 2), F(1)),
             (F(1), F(3, 2)),
         ]
         # first cell is parameterized away from g1's side; the first passage
         # moves with r, the returning one against it
-        assert fam2.tau_slopes == (1, -1)
-        assert fam2.tau_value(0, F(1, 8)) == F(5, 8)
-        assert fam2.tau_value(1, F(1, 8)) == F(11, 8)
+        assert [tau.slope for tau in fam2.taus] == [1, -1]
+        assert fam2.taus[0](F(1, 8)) == F(5, 8)
+        assert fam2.taus[1](F(1, 8)) == F(11, 8)
         # mirror cells on e2/e3 sweep toward the center as r grows
         assert [c.forward for c in fam2.cells] == [True, False, False]
 
     def test_tau_endpoints_and_distinctness(self, star3, star_hydra):
         part = build_partition([star_hydra])
         for fam in part.families:
-            for i, tc in enumerate(fam.time_cells):
-                ends = {fam.tau_value(i, 0), fam.tau_value(i, fam.epsilon)}
-                assert ends == {tc.start, tc.end}
+            for tau in fam.taus:
+                lo, hi = tau.range_interval()
+                assert {tau(0), tau(fam.epsilon)} == {lo, hi}
+                assert hi - lo == fam.epsilon
             vals = fam.times_at(F(1, 7) * fam.epsilon)
             assert len(set(vals)) == len(vals)
 
@@ -181,7 +196,7 @@ class TestBuildPartition:
             h = propagate(g, gamma, T)
             part = build_partition([h])
             ivs = sorted(
-                (tc.start, tc.end) for fam in part.families for tc in fam.time_cells
+                tau.range_interval() for fam in part.families for tau in fam.taus
             )
             # merged closure of all time cells must be exactly [0, T]
             merged = [list(ivs[0])]
@@ -204,17 +219,17 @@ class TestBuildPartition:
         spans = sorted((c.lo, c.hi) for c in fam.cells)
         assert spans == [(F(0), F(1, 4)), (F(3, 4), F(1))]
         assert fam.epsilon == F(1, 4)
-        assert [(tc.start, tc.end) for tc in fam.time_cells] == [(F(0), F(1, 4))]
+        assert [tau.range_interval() for tau in fam.taus] == [(F(0), F(1, 4))]
 
     def test_locality_of_waves(self, star3, star_hydra):
         # a control supported in one family's time cells produces a wave
         # supported in that family
         part = build_partition([star_hydra])
         fam2 = part.families[1]
-        tc = fam2.time_cells[1]  # (1, 3/2)
+        lo, hi = fam2.taus[1].range_interval()  # (1, 3/2)
         T = F(3, 2)
-        # control phi(T - t) nonzero only for t in tc
-        phi = bump(float(T - tc.end), float(T - tc.start))
+        # control phi(T - t) nonzero only for t in (lo, hi)
+        phi = bump(float(T - hi), float(T - lo))
         controls = {"g1": phi}
         inside = fam2.lambda_at(star3, fam2.epsilon / 3)
         outside = part.families[0].lambda_at(star3, part.families[0].epsilon / 3)
@@ -261,8 +276,9 @@ class TestBuildPartition:
             for fam in part.families:
                 assert len({c.length for c in fam.cells}) == 1
                 assert all(c.length == fam.epsilon for c in fam.cells)
-                for a, b in zip(fam.time_cells, fam.time_cells[1:]):
-                    assert a.end <= b.start
+                tcells = [tau.range_interval() for tau in fam.taus]
+                for (_, end), (start, _) in zip(tcells, tcells[1:]):
+                    assert end <= start
                 # lattice consistency at a sample parameter
                 r = fam.epsilon * F(2, 7)
                 lam = set(fam.lambda_at(g, r))

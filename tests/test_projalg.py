@@ -9,7 +9,6 @@ import pytest
 
 from eikonal_canon.errors import EikonalError
 from eikonal_canon.projalg import (
-    TaggedProjector,
     connection_test,
     equivalence_classes,
     gram_matrix,
@@ -20,42 +19,42 @@ from eikonal_canon.projalg import (
 RT2 = 1.0 / math.sqrt(2.0)
 
 
-def tp(vec, gamma="g", key=(0,)):
+def unit(vec):
     v = np.asarray(vec, dtype=float)
-    return TaggedProjector(gamma, key, v / np.linalg.norm(v))
+    return v / np.linalg.norm(v)
 
 
 class TestEquivalenceClasses:
     def test_orthogonal_pair(self):
-        cls = equivalence_classes([tp([1, 0]), tp([0, 1])])
+        cls = equivalence_classes([unit([1, 0]), unit([0, 1])])
         assert [(c.members, c.kappa) for c in cls] == [((0,), 1), ((1,), 1)]
 
     def test_overlapping_pair(self):
-        cls = equivalence_classes([tp([1, 0]), tp([1, 1])])
+        cls = equivalence_classes([unit([1, 0]), unit([1, 1])])
         assert [(c.members, c.kappa) for c in cls] == [((0, 1), 2)]
 
     def test_star_family(self):
-        cls = equivalence_classes([tp([1, 0, 0]), tp([0, 1, 1])])
+        cls = equivalence_classes([unit([1, 0, 0]), unit([0, 1, 1])])
         assert [(c.members, c.kappa) for c in cls] == [((0,), 1), ((1,), 1)]
 
     def test_transitive_chain(self):
-        cls = equivalence_classes([tp([1, 0, 0]), tp([0, 0, 1]), tp([1, 1, 1])])
+        cls = equivalence_classes([unit([1, 0, 0]), unit([0, 0, 1]), unit([1, 1, 1])])
         assert len(cls) == 1 and cls[0].kappa == 3
 
 
 class TestGram:
     def test_orthonormal_identity(self):
-        assert np.allclose(gram_matrix([tp([1, 0]), tp([0, 1])]), np.eye(2))
+        assert np.allclose(gram_matrix([unit([1, 0]), unit([0, 1])]), np.eye(2))
 
     def test_off_diagonal(self):
-        g = gram_matrix([tp([1, 0]), tp([1, 1])])
+        g = gram_matrix([unit([1, 0]), unit([1, 1])])
         assert g[0, 0] == pytest.approx(1.0)
         assert g[0, 1] == pytest.approx(RT2)
 
     def test_symmetric_unit_diagonal(self):
         rng = np.random.default_rng(2)
         vecs = rng.normal(size=(4, 5))
-        fam = [tp(v) for v in vecs]
+        fam = [unit(v) for v in vecs]
         g = gram_matrix(fam)
         assert np.allclose(g, g.T)
         assert np.allclose(np.diag(g), 1.0)
@@ -63,49 +62,49 @@ class TestGram:
 
 class TestConnectionTest:
     def test_identical_classes(self):
-        fam = [tp([1, 0]), tp([1, 1])]
+        fam = [unit([1, 0]), unit([1, 1])]
         v = connection_test(fam, fam, {0: 0, 1: 1})
         assert v.connected
-        assert np.allclose(v.witness @ fam[0].vector, fam[0].vector)
+        assert np.allclose(v.witness @ fam[0], fam[0])
 
     def test_rank_one_classes_always_connect(self):
-        v = connection_test([tp([1, 0, 0])], [tp([0, 1])], {0: 0})
+        v = connection_test([unit([1, 0, 0])], [unit([0, 1])], {0: 0})
         assert v.connected
 
     def test_gram_mismatch_separates(self):
-        p1 = [tp([1, 0]), tp([1, 1])]
-        p2 = [tp([1, 0]), tp([0, 1])]
+        p1 = [unit([1, 0]), unit([1, 1])]
+        p2 = [unit([1, 0]), unit([0, 1])]
         v = connection_test(p1, p2, {0: 0, 1: 1})
         assert not v.connected and "Gram" in v.reason
 
     def test_symmetry_of_verdict(self):
-        p1 = [tp([1, 0]), tp([1, 1])]
-        p2 = [tp([1, 0]), tp([0, 1])]
+        p1 = [unit([1, 0]), unit([1, 1])]
+        p2 = [unit([1, 0]), unit([0, 1])]
         fwd = connection_test(p1, p2, {0: 0, 1: 1})
         back = connection_test(p2, p1, {0: 0, 1: 1})
         assert fwd.connected == back.connected
-        p3 = [tp([0, 1]), tp([1, 1])]
+        p3 = [unit([0, 1]), unit([1, 1])]
         fwd = connection_test(p1, p3, {0: 0, 1: 1})
         back = connection_test(p3, p1, {0: 0, 1: 1})
         assert fwd.connected and back.connected
 
     def test_sign_flip_still_connects(self):
         # lines, not vectors: flipping a sign leaves all invariants fixed
-        p1 = [tp([1, 0]), tp([1, 1])]
-        p2 = [tp([-1, 0]), tp([1, 1])]
+        p1 = [unit([1, 0]), unit([1, 1])]
+        p2 = [unit([-1, 0]), unit([1, 1])]
         v = connection_test(p1, p2, {0: 0, 1: 1})
         assert v.connected
         w = v.witness
         for a, b in zip(p1, p2):
-            img = w @ b.vector
-            assert np.allclose(np.outer(img, img), np.outer(a.vector, a.vector))
+            img = w @ b
+            assert np.allclose(np.outer(img, img), np.outer(a, a))
 
     def test_triple_angle_separates(self):
         # same pairwise Grams, opposite cycle sign: invisible to pairs,
         # caught by the triple angles
         c = 0.5
-        p1 = [tp([1, 0]), tp([c, math.sqrt(1 - c * c)]),
-              tp([c, (c * c - c) / math.sqrt(1 - c * c) * 1.0, 0.0])]
+        p1 = [unit([1, 0]), unit([c, math.sqrt(1 - c * c)]),
+              unit([c, (c * c - c) / math.sqrt(1 - c * c) * 1.0, 0.0])]
         # build third vectors explicitly with prescribed inner products
         def third(g13, g23):
             v1 = np.array([1.0, 0.0, 0.0])
@@ -113,7 +112,7 @@ class TestConnectionTest:
             a = g13
             b = (g23 - a * c) / math.sqrt(1 - c * c)
             z = math.sqrt(max(0.0, 1 - a * a - b * b))
-            return [tp(v1), tp(v2), tp([a, b, z])]
+            return [unit(v1), unit(v2), unit([a, b, z])]
 
         p1 = third(0.5, 0.5)
         p2 = third(0.5, -0.5)
@@ -129,7 +128,7 @@ class TestConnectionTest:
             g = np.eye(4)
             for i, j, s in ((0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, last_sign)):
                 g[i, j] = g[j, i] = s * c
-            return [tp(v) for v in np.linalg.cholesky(g)]
+            return [unit(v) for v in np.linalg.cholesky(g)]
 
         p1, p2 = cycle(1), cycle(-1)
         assert np.allclose(gram_matrix(p1), gram_matrix(p2))
@@ -144,35 +143,42 @@ class TestConnectionTest:
         q, _ = np.linalg.qr(rng.normal(size=(5, 5)))
         moved = base @ np.eye(4, 5) @ q.T  # same Gram, rotated into R^5
         signs = np.array([1.0, -1.0, 1.0])
-        p1 = [tp(v) for v in base]
-        p2 = [tp(s * v) for s, v in zip(signs, moved)]
+        p1 = [unit(v) for v in base]
+        p2 = [unit(s * v) for s, v in zip(signs, moved)]
         v = connection_test(p1, p2, {i: i for i in range(3)})
         assert v.connected
         w = v.witness
         for i in range(3):
             for j in range(3):
-                pi = np.outer(p2[i].vector, p2[i].vector)
-                pj = np.outer(p2[j].vector, p2[j].vector)
+                pi = np.outer(p2[i], p2[i])
+                pj = np.outer(p2[j], p2[j])
                 lhs = w @ (pi @ pj) @ w.T
                 rhs = (w @ pi @ w.T) @ (w @ pj @ w.T)
                 assert np.max(np.abs(lhs - rhs)) < 1e-8
 
+    def test_non_unit_row_rejected(self):
+        rows = [unit([1, 0]), [1.0, 1.0]]
+        with pytest.raises(EikonalError, match="norm"):
+            connection_test(rows, [unit([1, 0]), unit([1, 1])], {0: 0, 1: 1})
+        with pytest.raises(EikonalError, match="norm"):
+            equivalence_classes(rows)
+
     def test_partial_pairing_rejected(self):
         with pytest.raises(EikonalError):
-            connection_test([tp([1, 0]), tp([1, 1])], [tp([1, 0])], {0: 0})
+            connection_test([unit([1, 0]), unit([1, 1])], [unit([1, 0])], {0: 0})
 
     def test_scaling_robustness(self):
         # perturbations below tol/10 do not flip verdicts with clear margins
         rng = np.random.default_rng(17)
         tol = 1e-6
-        p1 = [tp([1, 0]), tp([1, 1])]
-        p2_conn = [tp([1, 0]), tp([1, 1])]
-        p2_sep = [tp([1, 0]), tp([0, 1])]
+        p1 = [unit([1, 0]), unit([1, 1])]
+        p2_conn = [unit([1, 0]), unit([1, 1])]
+        p2_sep = [unit([1, 0]), unit([0, 1])]
         for p2, expect in ((p2_conn, True), (p2_sep, False)):
             wobbled = []
             for t in p2:
-                v = t.vector + rng.normal(size=2) * tol / 30
-                wobbled.append(tp(v))
+                v = t + rng.normal(size=2) * tol / 30
+                wobbled.append(unit(v))
             v = connection_test(p1, wobbled, {0: 0, 1: 1}, tol)
             assert v.connected is expect
 
@@ -228,21 +234,21 @@ def block_algebra_generators(rng):
 
 class TestReductionAndWords:
     def test_full_rank_class(self):
-        fam = [tp([1, 0]), tp([1, 1])]
+        fam = [unit([1, 0]), unit([1, 1])]
         q, images = irreducible_reduction(fam)
         assert q.shape == (2, 2)
         for img, p in zip(images, fam):
-            assert np.allclose(q @ img @ q.T, np.outer(p.vector, p.vector))
+            assert np.allclose(q @ img @ q.T, np.outer(p, p))
             assert np.allclose(img @ img, img, atol=1e-9)
 
     def test_one_dim_class_in_r3(self):
-        fam = [tp([0, 1, 1])]
+        fam = [unit([0, 1, 1])]
         q, images = irreducible_reduction(fam)
         assert q.shape == (3, 1)
         assert np.allclose(images[0], [[1.0]])
 
     def test_zero_padding_stripped(self):
-        fam = [tp([1, 1, 0, 0]), tp([0, 1, 0, 0])]
+        fam = [unit([1, 1, 0, 0]), unit([0, 1, 0, 0])]
         q, images = irreducible_reduction(fam)
         assert q.shape == (4, 2)
         assert np.allclose(q[2:, :], 0)
@@ -252,7 +258,7 @@ class TestReductionAndWords:
         for n, m in [(2, 3), (3, 5), (4, 4)]:
             vecs = rng.normal(size=(n, m))
             vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-            fam = [tp(v) for v in vecs]
+            fam = [unit(v) for v in vecs]
             (cls,) = equivalence_classes(fam)  # generic vectors: one class
             mats = [np.outer(v, v) for v in vecs]
             assert word_span_dim(mats) == cls.kappa ** 2
