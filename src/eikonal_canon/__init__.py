@@ -34,8 +34,8 @@ from .partition import (
 from .frames import AlphaSet, BetaFrame, alpha_set, family_frames, gram_schmidt
 from .representation import (
     BlockTerm,
+    CanonicalBlock,
     ParametricRepr,
-    ProjBlock,
     apply_projector,
     build_parametric,
     evaluate_at,
@@ -52,9 +52,6 @@ from .projalg import (
     word_span_dim,
 )
 from .canonical import (
-    BoundaryMap,
-    BoundaryTag,
-    CanonicalBlock,
     CanonicalForm,
     boundary_map,
     canonicalize,

@@ -26,65 +26,7 @@ from .projalg import (
     irreducible_reduction,
     word_span_dim,
 )
-from .representation import BlockTerm, ParametricRepr, tau_sum
-
-
-@dataclass(frozen=True)
-class Piece:
-    """Provenance of a parameter stretch: which original block it came from.
-
-    The original parameter is offset + q for q in [0, length] when not
-    flipped, and offset + (length - q) when flipped.
-    """
-
-    source: int
-    offset: Fraction
-    length: Fraction
-    flipped: bool
-
-
-@dataclass(frozen=True)
-class CanonicalBlock:
-    """One irreducible block: parameter interval [0, length] and per-source terms.
-
-    The betas live in R^kappa: the family's cell space while blocks are split
-    and joined, an orthonormal basis of the projector span once
-    `reduce_block` has rewritten them.  Blocks are addressed by their
-    position in a block list; pieces record where their stretches came from.
-    """
-
-    length: Fraction
-    kappa: int
-    terms: tuple[BlockTerm, ...]
-    pieces: tuple[Piece, ...] = ()
-
-    def terms_of(self, gamma: str) -> list[BlockTerm]:
-        return [t for t in self.terms if t.gamma == gamma]
-
-    def generator_at(self, gamma: str, r) -> np.ndarray:
-        return tau_sum(self.terms_of(gamma), self.kappa, r)
-
-    def betas(self) -> np.ndarray:
-        """The term betas as rows, in term order."""
-        return np.array([t.beta for t in self.terms])
-
-
-@dataclass(frozen=True)
-class BoundaryTag:
-    gamma: str
-    k: int
-    block: int  # position in the block list
-    end: int  # 0 or 1 (r = 0 / r = length)
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class BoundaryMap:
-    """Involution pairing equal end values, with the 1/2/3 type trichotomy."""
-
-    tags: tuple[BoundaryTag, ...]
-    partner: Mapping[BoundaryTag, BoundaryTag]
-    types: Mapping[BoundaryTag, int]
+from .representation import BlockTerm, CanonicalBlock, ParametricRepr, Piece
 
 
 @dataclass(frozen=True)
@@ -102,8 +44,7 @@ def split_blocks(repr_: ParametricRepr, tol: float = DEFAULT_TOL
     """Partition each family's projectors into equivalence classes -> blocks."""
     blocks: list[CanonicalBlock] = []
     for fam in repr_.families:
-        entries = [t for gamma in repr_.sigma
-                   for t in repr_.block(fam.index, gamma).terms]
+        entries = repr_.blocks[fam.index].terms
         if not entries:
             continue
         for cls in equivalence_classes([t.beta for t in entries], tol):
@@ -120,77 +61,49 @@ def split_blocks(repr_: ParametricRepr, tol: float = DEFAULT_TOL
     return blocks
 
 
-def boundary_map(blocks: Sequence[CanonicalBlock]) -> BoundaryMap:
-    """Pair end tags with equal tau values, independently per source vertex."""
-    tags: list[BoundaryTag] = []
+def boundary_map(blocks: Sequence[CanonicalBlock]
+                 ) -> dict[tuple[str, Fraction], list[tuple[int, int, int]]]:
+    """End tags (block, end, k) grouped by (source, end value).
+
+    A group of two pairs its tags; a lone tag pairs with itself.  end is 0 or
+    1 (r = 0 / r = length), block a position in `blocks`.
+    """
+    table: dict[tuple[str, Fraction], list[tuple[int, int, int]]] = {}
     for i, b in enumerate(blocks):
         for t in b.terms:
             for end in (0, 1):
-                tags.append(BoundaryTag(t.gamma, t.k, i, end,
-                                        t.tau.end_value(end)))
-    partner: dict[BoundaryTag, BoundaryTag] = {}
-    types: dict[BoundaryTag, int] = {}
-    by_gamma: dict[str, dict[Fraction, list[BoundaryTag]]] = {}
-    for tag in tags:
-        by_gamma.setdefault(tag.gamma, {}).setdefault(tag.value, []).append(tag)
-    for gamma, groups in by_gamma.items():
-        for value, group in groups.items():
-            if len(group) == 1:
-                tag = group[0]
-                partner[tag] = tag
-                types[tag] = 1
-            elif len(group) == 2:
-                a, b = group
-                partner[a], partner[b] = b, a
-                kind = 2 if a.block == b.block else 3
-                types[a] = types[b] = kind
-            else:
-                raise StructuralFault(
-                    f"value {value} of source {gamma} is shared by "
-                    f"{len(group)} end tags; expected at most 2")
-    return BoundaryMap(tuple(tags), partner, types)
+                table.setdefault((t.gamma, t.tau.end_value(end)), []).append(
+                    (i, end, t.k))
+    for (gamma, value), group in table.items():
+        if len(group) > 2:
+            raise StructuralFault(
+                f"value {value} of source {gamma} is shared by "
+                f"{len(group)} end tags; expected at most 2")
+    return table
 
 
-@dataclass(frozen=True)
-class JunctionCandidate:
-    block_a: int
-    end_a: int
-    block_b: int
-    end_b: int
-    pairing: tuple[tuple[tuple[str, int], tuple[str, int]], ...]
+def junction_candidates(blocks: Sequence[CanonicalBlock]
+                        ) -> list[tuple[tuple[int, int], tuple[int, int], dict]]:
+    """Ends whose tags all pair across to one end of another block, ascending.
 
-
-def junction_candidates(blocks: Sequence[CanonicalBlock],
-                        bm: BoundaryMap) -> list[JunctionCandidate]:
-    """Block-end pairs whose tag sets map onto each other bijectively (type 3)."""
-    end_tags: dict[tuple[int, int], list[BoundaryTag]] = {}
-    for tag in bm.tags:
-        end_tags.setdefault((tag.block, tag.end), []).append(tag)
+    Each candidate is (lower end, partner end, pairing of the lower end's
+    term keys (gamma, k) to the partner's), an end being (block, 0 or 1).
+    """
+    # per end: the far end each tag pairs with (None within one block)
+    links: dict[tuple[int, int], list] = {}
+    for (gamma, _), group in boundary_map(blocks).items():
+        for (i, e, k), (j, f, k2) in zip(group, group[::-1]):
+            links.setdefault((i, e), []).append(
+                ((j, f) if j != i else None, (gamma, k), (gamma, k2)))
     out = []
-    seen = set()
-    for (bl, end), tags in sorted(end_tags.items()):
-        if ((bl, end)) in seen:
-            continue
-        partners = [bm.partner[t] for t in tags]
-        if any(bm.types[t] != 3 for t in tags):
-            continue
-        targets = {(p.block, p.end) for p in partners}
-        if len(targets) != 1:
-            continue
-        tb, te = next(iter(targets))
-        back = end_tags[(tb, te)]
-        if len(back) != len(tags):
-            continue
-        if any(bm.types[t] != 3 or
-               (bm.partner[t].block, bm.partner[t].end) != (bl, end)
-               for t in back):
-            continue
-        seen.add((tb, te))
-        pairs = [((t.gamma, t.k), (bm.partner[t].gamma, bm.partner[t].k))
-                 for t in tags]
-        # (tb, te) > (bl, end): a lower partner passes these checks and came first
-        out.append(JunctionCandidate(bl, end, tb, te, tuple(sorted(pairs))))
-    return out  # ascending, because the ends are visited in order
+    for side, tags in sorted(links.items()):
+        fars = {far for far, _, _ in tags}
+        far = fars.pop()
+        # pairing is one-to-one, so equal counts mean far's tags all pair back
+        if (not fars and far is not None and far > side
+                and len(links[far]) == len(tags)):
+            out.append((side, far, dict(sorted((ka, kb) for _, ka, kb in tags))))
+    return out
 
 
 def transpose_block(b: CanonicalBlock) -> CanonicalBlock:
@@ -261,8 +174,8 @@ def canonicalize_blocks(blocks: Sequence[CanonicalBlock], tol: float = DEFAULT_T
         link[far] = (side, {v: k for k, v in pairing.items()})
         untested.add(min(side, far))
 
-    for c in junction_candidates(blocks, boundary_map(blocks)):
-        connect((c.block_a, c.end_a), (c.block_b, c.end_b), dict(c.pairing))
+    for side, far, pairing in junction_candidates(blocks):
+        connect(side, far, pairing)
     notes: list[str] = []
     n_junctions = 0
     while untested:

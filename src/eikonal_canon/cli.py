@@ -76,9 +76,9 @@ def parse_graph_file(text: str) -> MetricGraph:
         else:
             raise GraphFormatError(f"unknown record {kind!r}", lineno)
     g = MetricGraph(edges, boundary=[v for v, b in vertices.items() if b])
-    extra = set(g.vertices) - set(vertices)
-    if extra:
-        raise GraphFormatError(f"edges reference undeclared vertices {extra}")
+    isolated = sorted(set(vertices) - {v for _, ends, _ in edges for v in ends})
+    if isolated:
+        raise GraphFormatError(f"vertices on no edge: {', '.join(isolated)}")
     report = validate_graph(g)
     if report:
         raise GraphFormatError("; ".join(report))
@@ -133,13 +133,15 @@ def run_command(args) -> int:
     emit = set(args.emit.split(","))
     if not emit <= {"json", "dot"}:
         raise EikonalError(f"emit takes json and/or dot, got {args.emit!r}")
+    command = args.command
+    if command in ("partition", "parametric", "canonical") and "json" not in emit:
+        raise EikonalError(f"emit {args.emit!r} leaves {command} nothing to write")
     tol = args.tol
     if not 0 < tol < 1:  # also rejects nan
         raise EikonalError(f"tol must be a finite number in (0, 1), got {tol}")
     written: list[Path] = []
 
     g, sigma, horizon, hydras = _pipeline(args)
-    command = args.command
 
     if command == "hydra":
         for h in hydras:
@@ -233,15 +235,16 @@ def _verify(g, sigma, horizon, hydras, part, repr_, cf, tol) -> int:
           all(len({c.length for c in fam.cells}) == 1 for fam in part.families))
     eig_ok = True
     for fam in part.families:
+        pb = repr_.blocks[fam.index]
         for gamma in sigma:
-            pb = repr_.block(fam.index, gamma)
-            if not pb.terms:
+            terms = pb.terms_of(gamma)
+            if not terms:
                 continue
             r = fam.epsilon * Fraction(3, 7)
-            mat = pb.matrix_at(r)
-            vecs = np.array([t.beta for t in pb.terms])
+            mat = pb.generator_at(gamma, r)
+            vecs = np.array([t.beta for t in terms])
             small = vecs @ mat @ vecs.T
-            want = sorted(float(t.tau(r)) for t in pb.terms)
+            want = sorted(float(t.tau(r)) for t in terms)
             got = sorted(np.linalg.eigvalsh(small))
             if max(abs(a - b) for a, b in zip(want, got)) > 1e-8:
                 eig_ok = False

@@ -78,8 +78,9 @@ class LinearTimeFn:
         a, b = self.intercept, self(self.length)
         return (a, b) if a <= b else (b, a)
 
-    def shifted(self, delta=1) -> "LinearTimeFn":
-        return replace(self, intercept=self.intercept + Fraction(delta))
+    def shifted(self) -> "LinearTimeFn":
+        """The +1 spectral shift."""
+        return replace(self, intercept=self.intercept + 1)
 
     def transposed(self) -> "LinearTimeFn":
         """Reverse the parameter direction: t'(r) = t(length - r)."""

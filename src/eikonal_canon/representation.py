@@ -37,23 +37,50 @@ class BlockTerm:
         return np.outer(self.beta, self.beta)
 
 
-def tau_sum(terms: Iterable[BlockTerm], dim: int, r) -> np.ndarray:
-    """sum_i tau_i(r) P_i over the given terms, as a dim x dim matrix."""
-    out = np.zeros((dim, dim))
-    for term in terms:
-        out += float(term.tau(r)) * term.projector()
-    return out
+@dataclass(frozen=True)
+class Piece:
+    """Provenance of a parameter stretch: which original block it came from.
+
+    The original parameter is offset + q for q in [0, length] when not
+    flipped, and offset + (length - q) when flipped.
+    """
+
+    source: int
+    offset: Fraction
+    length: Fraction
+    flipped: bool
 
 
 @dataclass(frozen=True)
-class ProjBlock:
-    family: int
-    gamma: str
-    dim: int
-    terms: tuple[BlockTerm, ...]
+class CanonicalBlock:
+    """A block: parameter interval [0, length] and per-source terms.
 
-    def matrix_at(self, r) -> np.ndarray:
-        return tau_sum(self.terms, self.dim, r)
+    The parametric form has one per family (length epsilon, kappa the
+    family's dim); `canonical` splits them into irreducible blocks, addressed
+    by their position in a block list, whose pieces record where their
+    stretches came from.  The betas live in R^kappa: the family's cell space
+    while blocks are split and joined, an orthonormal basis of the projector
+    span once `reduce_block` has rewritten them.
+    """
+
+    length: Fraction
+    kappa: int
+    terms: tuple[BlockTerm, ...]
+    pieces: tuple[Piece, ...] = ()
+
+    def terms_of(self, gamma: str) -> list[BlockTerm]:
+        return [t for t in self.terms if t.gamma == gamma]
+
+    def generator_at(self, gamma: str, r) -> np.ndarray:
+        """sum_i tau_i(r) P_i over gamma's terms, as a kappa x kappa matrix."""
+        out = np.zeros((self.kappa, self.kappa))
+        for term in self.terms_of(gamma):
+            out += float(term.tau(r)) * term.projector()
+        return out
+
+    def betas(self) -> np.ndarray:
+        """The term betas as rows, in term order."""
+        return np.array([t.beta for t in self.terms])
 
 
 @dataclass(frozen=True)
@@ -64,14 +91,11 @@ class ParametricRepr:
     horizon: Fraction
     shifted: bool
     partition: Partition
-    blocks: Mapping[tuple[int, str], ProjBlock]
+    blocks: Mapping[int, CanonicalBlock]  # by family index
 
     @property
     def families(self) -> tuple[Family, ...]:
         return self.partition.families
-
-    def block(self, family_index: int, gamma: str) -> ProjBlock:
-        return self.blocks[(family_index, gamma)]
 
 
 def projector_block(rows: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -85,9 +109,10 @@ def projector_block(rows: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
 def build_parametric(partition: Partition,
                      frames: Mapping[tuple[int, str], BetaFrame],
                      shifted: bool = True) -> ParametricRepr:
-    """Assemble per-(family, source) projector blocks from beta frames."""
-    blocks: dict[tuple[int, str], ProjBlock] = {}
+    """Assemble one projector block per family from its sources' beta frames."""
+    blocks: dict[int, CanonicalBlock] = {}
     for fam in partition.families:
+        terms = []
         for gamma in partition.sigma:
             frame = frames.get((fam.index, gamma))
             if frame is None:
@@ -95,14 +120,10 @@ def build_parametric(partition: Partition,
                     f"missing frame for family {fam.index}, source {gamma}")
             if frame.n != fam.n_times or frame.dim != fam.dim:
                 raise EikonalError("frame and family shapes disagree")
-            terms = []
             for i in frame.nonzero:
-                tau = fam.taus[i]
-                if shifted:
-                    tau = tau.shifted(1)
+                tau = fam.taus[i].shifted() if shifted else fam.taus[i]
                 terms.append(BlockTerm(gamma, i, tau, frame.vectors[i].copy()))
-            blocks[(fam.index, gamma)] = ProjBlock(
-                fam.index, gamma, fam.dim, tuple(terms))
+        blocks[fam.index] = CanonicalBlock(fam.epsilon, fam.dim, tuple(terms))
     return ParametricRepr(partition.sigma, partition.horizon, shifted,
                           partition, blocks)
 
@@ -118,7 +139,7 @@ def evaluate_at(repr_: ParametricRepr,
         if not 0 <= r <= fam.epsilon:
             raise EikonalError(f"coordinate {r} outside [0, {fam.epsilon}]")
     return {
-        gamma: [repr_.block(fam.index, gamma).matrix_at(r)
+        gamma: [repr_.blocks[fam.index].generator_at(gamma, r)
                 for fam, r in zip(fams, rs)]
         for gamma in repr_.sigma
     }
@@ -128,7 +149,7 @@ def sigma_ac(repr_: ParametricRepr, gamma: str) -> list[tuple[Fraction, Fraction
     """Spectrum of the (shifted) eikonal on its reachable set: merged cell closures."""
     cells = []
     for fam in repr_.families:
-        for term in repr_.block(fam.index, gamma).terms:
+        for term in repr_.blocks[fam.index].terms_of(gamma):
             cells.append(term.tau.range_interval())
     return merge_intervals(cells)
 
@@ -156,7 +177,7 @@ def apply_projector(repr_: ParametricRepr, gamma: str,
             raise MissingSampleError(
                 f"no sample at determination point {exc.args[0]}") from None
         acc = 0.0
-        for term in repr_.block(fam.index, gamma).terms:
+        for term in repr_.blocks[fam.index].terms_of(gamma):
             acc += float(values @ term.beta) * float(term.beta[cell_idx])
         out[x] = acc
     return out

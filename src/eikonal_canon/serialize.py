@@ -100,12 +100,12 @@ def partition_json(part: Partition) -> dict:
 def parametric_json(repr_: ParametricRepr) -> dict:
     blocks = []
     for fam in repr_.families:
+        pb = repr_.blocks[fam.index]
         for gamma in repr_.sigma:
-            pb = repr_.block(fam.index, gamma)
             blocks.append({
                 "family": fam.index,
                 "gamma": gamma,
-                "dim": pb.dim,
+                "dim": pb.kappa,
                 "terms": [
                     {
                         "k": t.k,
@@ -114,7 +114,7 @@ def parametric_json(repr_: ParametricRepr) -> dict:
                                 "length": rat(t.tau.length)},
                         "beta": [fl(x) for x in t.beta],
                     }
-                    for t in pb.terms
+                    for t in pb.terms_of(gamma)
                 ],
             })
     return {

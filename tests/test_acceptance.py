@@ -152,7 +152,7 @@ def test_criterion_4_spectrum_filling():
     checked = 0
     for g, gamma, T in subcritical_instances(0xC444, 200):
         hydras, part, repr_ = pipeline(g, [gamma], T)
-        cells = [tau.shifted(1).range_interval()
+        cells = [tau.shifted().range_interval()
                  for fam in part.families for tau in fam.taus]
         if merge_intervals(cells) != [(F(1), T + 1)]:
             report("criterion 4: spectrum filling", False,
@@ -173,16 +173,16 @@ def test_criterion_5_eigenvalue_identity():
     for g, gamma, T in subcritical_instances(0xC515, 25):
         _, part, repr_ = pipeline(g, [gamma], T)
         for fam in part.families:
-            pb = repr_.block(fam.index, gamma)
-            if not pb.terms:
+            pb = repr_.blocks[fam.index]
+            if not pb.terms_of(gamma):
                 continue
             blocks_checked += 1
             for _ in range(10):
                 r = fam.epsilon * F(rng.randint(1, 127), 128)
-                mat = pb.matrix_at(r)
-                vecs = np.array([t.beta for t in pb.terms])
+                mat = pb.generator_at(gamma, r)
+                vecs = np.array([t.beta for t in pb.terms_of(gamma)])
                 got = np.sort(np.linalg.eigvalsh(vecs @ mat @ vecs.T))
-                want = np.sort([float(t.tau(r)) for t in pb.terms])
+                want = np.sort([float(t.tau(r)) for t in pb.terms_of(gamma)])
                 worst = max(worst, float(np.max(np.abs(got - want))))
     report("criterion 5: eigenvalue identity",
            worst <= 1e-8 and blocks_checked > 0,
@@ -208,7 +208,7 @@ def test_criterion_6_interior_fullness(star3):
               for fam in part.families]
         gens = []
         for gamma in repr_.sigma:
-            mats = [repr_.block(fam.index, gamma).matrix_at(r)
+            mats = [repr_.blocks[fam.index].generator_at(gamma, r)
                     for fam, r in zip(part.families, rs)]
             n = sum(m.shape[0] for m in mats)
             big = np.zeros((n, n))

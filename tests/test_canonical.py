@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -33,7 +33,7 @@ from eikonal_canon.canonical import (
     junction_candidates,
     transpose_block,
 )
-from eikonal_canon.errors import EikonalError
+from eikonal_canon.errors import EikonalError, StructuralFault
 from eikonal_canon.representation import LinearTimeFn, evaluate_at
 
 from conftest import random_admissible_graph
@@ -74,24 +74,30 @@ class TestSplitBlocks:
         assert dims == [(F(1, 4), 2, 4), (F(3, 4), 1, 1), (F(3, 4), 1, 1)]
 
 
+def end_kinds(table):
+    """(source, value, kind, tags) per table entry: kind 1 is a lone tag, 2 a
+    pair within one block, 3 a pair across two blocks."""
+    return [(gamma, value, 1 if len(group) == 1 else
+             2 if group[0][0] == group[1][0] else 3, len(group))
+            for (gamma, value), group in table.items()]
+
+
 class TestBoundaryMap:
     def test_star_types(self, star3):
         _, repr_ = make_repr(star3, ["g1"], F(3, 2))
         blocks = split_blocks(repr_)
-        bm = boundary_map(blocks)
         by_value = {}
-        for tag, kind in bm.types.items():
-            by_value.setdefault(str(tag.value), set()).add(kind)
+        for _, value, kind, _ in end_kinds(boundary_map(blocks)):
+            by_value.setdefault(str(value), set()).add(kind)
         assert by_value == {"1": {1}, "3/2": {3}, "2": {3}, "5/2": {1}}
 
     def test_type_two_collision(self, star3):
         _, repr_ = make_repr(star3, ["g1", "g2"], F(5, 4))
         blocks = split_blocks(repr_)
-        bm = boundary_map(blocks)
         kinds = {}
-        for tag, kind in bm.types.items():
+        for _, _, kind, n_tags in end_kinds(boundary_map(blocks)):
             kinds.setdefault(kind, 0)
-            kinds[kind] += 1
+            kinds[kind] += n_tags
         # collisions of the two taus at the big family's wavefront end are
         # same-block pairs for each source
         assert kinds.get(2, 0) == 4
@@ -99,19 +105,30 @@ class TestBoundaryMap:
     def test_involution(self, star3):
         _, repr_ = make_repr(star3, ["g1", "g2"], F(5, 4))
         blocks = split_blocks(repr_)
-        bm = boundary_map(blocks)
-        for tag in bm.tags:
-            assert bm.partner[bm.partner[tag]] == tag
+        partner = {}
+        for (gamma, _), group in boundary_map(blocks).items():
+            for tag, other in zip(group, group[::-1]):
+                partner[(gamma, *tag)] = (gamma, *other)
+        assert len(partner) == 2 * sum(len(b.terms) for b in blocks)
+        for tag in partner:
+            assert partner[partner[tag]] == tag
+
+    def test_three_tags_on_one_value_is_a_fault(self):
+        # three single-term blocks whose end 0 all hold value 1 of source g
+        blocks = [CanonicalBlock(F(1), 1, (BlockTerm(
+            "g", 0, LinearTimeFn(F(1), 1, F(1)), np.array([1.0])),))] * 3
+        with pytest.raises(StructuralFault,
+                           match="value 1 of source g is shared by 3 end tags"):
+            boundary_map(blocks)
 
 
 class TestJunction:
     def test_star_chain(self, star3):
         _, repr_ = make_repr(star3, ["g1"], F(3, 2))
         blocks = split_blocks(repr_)
-        bm = boundary_map(blocks)
-        cands = junction_candidates(blocks, bm)
-        assert [(c.block_a, c.end_a, c.block_b, c.end_b) for c in cands] == [
-            (0, 1, 1, 0), (1, 1, 2, 1)]
+        cands = junction_candidates(blocks)
+        assert [(side, far) for side, far, _ in cands] == [
+            ((0, 1), (1, 0)), ((1, 1), (2, 1))]
         from eikonal_canon import connection_test
 
         a, b = blocks[0], blocks[1]
@@ -243,11 +260,11 @@ class TestCanonicalize:
         # all tau values of gamma at rs / rs2, target the first family's first
         targets = []
         for fam, r in zip(part.families, rs):
-            for t in repr_.block(fam.index, gamma).terms:
+            for t in repr_.blocks[fam.index].terms_of(gamma):
                 targets.append(float(t.tau(r)))
         others = []
         for fam, r in zip(part.families, rs2):
-            for t in repr_.block(fam.index, gamma).terms:
+            for t in repr_.blocks[fam.index].terms_of(gamma):
                 others.append(float(t.tau(r)))
         t_star = targets[0]
         # interpolation points: every other tau value and 0 (the polynomial
@@ -267,7 +284,7 @@ class TestCanonicalize:
         e_at_r = q_mat(vals[gamma])
         e_at_r2 = q_mat(vals2[gamma])
         fam0 = part.families[0]
-        term0 = repr_.block(fam0.index, gamma).terms[0]
+        term0 = repr_.blocks[fam0.index].terms_of(gamma)[0]
         assert np.allclose(e_at_r[0], term0.projector(), atol=1e-8)
         assert all(np.allclose(m, 0, atol=1e-8) for m in e_at_r[1:])
         assert all(np.allclose(m, 0, atol=1e-8) for m in e_at_r2)
@@ -318,24 +335,85 @@ class TestCanonicalize:
                 assert list(sm.sigma_ac[gamma]) == sigma_ac(repr_, gamma)
 
 
+@dataclass(frozen=True)
+class BoundaryTag:
+    gamma: str
+    k: int
+    block: int  # position in the block list
+    end: int  # 0 or 1 (r = 0 / r = length)
+    value: Fraction
+
+
+def reference_boundary_map(blocks):
+    """Tag objects with partner and type maps: the candidate finder's reference."""
+    tags = [BoundaryTag(t.gamma, t.k, i, end, t.tau.end_value(end))
+            for i, b in enumerate(blocks) for t in b.terms for end in (0, 1)]
+    partner, types = {}, {}
+    by_gamma = {}
+    for tag in tags:
+        by_gamma.setdefault(tag.gamma, {}).setdefault(tag.value, []).append(tag)
+    for groups in by_gamma.values():
+        for group in groups.values():
+            if len(group) == 1:
+                partner[group[0]] = group[0]
+                types[group[0]] = 1
+            else:
+                a, b = group
+                partner[a], partner[b] = b, a
+                types[a] = types[b] = 2 if a.block == b.block else 3
+    return tags, partner, types
+
+
+def reference_junction_candidates(blocks):
+    """Block-end pairs whose tag sets map onto each other bijectively (type 3),
+    as (end, partner end, sorted pairs of term keys)."""
+    tags, partner, types = reference_boundary_map(blocks)
+    end_tags = {}
+    for tag in tags:
+        end_tags.setdefault((tag.block, tag.end), []).append(tag)
+    out = []
+    seen = set()
+    for side, tags in sorted(end_tags.items()):
+        if side in seen or any(types[t] != 3 for t in tags):
+            continue
+        targets = {(partner[t].block, partner[t].end) for t in tags}
+        if len(targets) != 1:
+            continue
+        far = next(iter(targets))
+        back = end_tags[far]
+        if len(back) != len(tags) or any(
+                types[t] != 3 or (partner[t].block, partner[t].end) != side
+                for t in back):
+            continue
+        seen.add(far)
+        out.append((side, far, tuple(sorted(
+            ((t.gamma, t.k), (partner[t].gamma, partner[t].k)) for t in tags))))
+    return out
+
+
+def candidate_list(blocks):
+    """junction_candidates in the reference's shape, pairing order included."""
+    return [(side, far, tuple(pairing.items()))
+            for side, far, pairing in junction_candidates(blocks)]
+
+
 def reference_canonicalize_blocks(blocks):
     """The junction loop that rebuilds the boundary map after every junction
     and retests every candidate, kept as the reference for the single-build loop."""
     blocks = list(blocks)
     n_junctions = 0
     while True:
-        for cand in junction_candidates(blocks, boundary_map(blocks)):
-            a, b = blocks[cand.block_a], blocks[cand.block_b]
-            pairing = dict(cand.pairing)
+        for (ia, end_a), (ib, end_b), pairs in reference_junction_candidates(blocks):
+            a, b = blocks[ia], blocks[ib]
+            pairing = dict(pairs)
             idx_a = {(t.gamma, t.k): i for i, t in enumerate(a.terms)}
             idx_b = {(t.gamma, t.k): i for i, t in enumerate(b.terms)}
             verdict = connection_test(a.betas(), b.betas(),
                                       {idx_a[ka]: idx_b[kb] for ka, kb in pairing.items()})
             if not verdict.connected:
                 continue
-            blocks[cand.block_a] = junction(a, cand.end_a, b, cand.end_b, pairing,
-                                            verdict.witness)
-            del blocks[cand.block_b]
+            blocks[ia] = junction(a, end_a, b, end_b, pairing, verdict.witness)
+            del blocks[ib]
             n_junctions += 1
             break
         else:
@@ -360,7 +438,7 @@ class TestJunctionLoop:
         # |Gram| matrices differ (off-diagonal 1/sqrt(2) against 0)
         a = self.two_term_block([0, 5], [[1.0, 0.0], [s, s]])
         b = self.two_term_block([1, 6], [[1.0, 0.0], [0.0, 1.0]])
-        assert len(junction_candidates([a, b], boundary_map([a, b]))) == 1
+        assert len(junction_candidates([a, b])) == 1
         done, n_junctions, notes = canonicalize_blocks([a, b])
         assert n_junctions == 0
         assert done[0] is a and done[1] is b
@@ -410,9 +488,12 @@ class TestJunctionLoop:
 
     def test_synthetic_chains_match_rebuilding_reference(self):
         rng = random.Random(11)
-        joined = rejected = 0
+        joined = rejected = candidates = 0
         for _ in range(100):
             blocks = self.synthetic_blocks(rng)
+            want_candidates = reference_junction_candidates(blocks)
+            assert candidate_list(blocks) == want_candidates
+            candidates += len(want_candidates)
             done, n_junctions, notes = canonicalize_blocks(blocks)
             want, want_junctions = reference_canonicalize_blocks(blocks)
             assert n_junctions == want_junctions
@@ -420,7 +501,7 @@ class TestJunctionLoop:
                 [block_fingerprint(b) for b in want]
             joined += n_junctions
             rejected += len(notes)
-        assert joined > 100 and rejected > 50
+        assert joined > 100 and rejected > 50 and candidates > 500
 
     def test_matches_rebuilding_reference(self, star3, star123):
         rng = random.Random(5)
@@ -429,13 +510,16 @@ class TestJunctionLoop:
             g = random_admissible_graph(rng)
             cases.append((g, sorted(g.boundary)[: rng.randint(1, 3)],
                           F(rng.randint(2, 8), 4)))
-        joined = 0
+        joined = candidates = 0
         for g, sigma, T in cases:
             blocks = split_blocks(make_repr(g, sigma, T)[1])
+            want_candidates = reference_junction_candidates(blocks)
+            assert candidate_list(blocks) == want_candidates
+            candidates += len(want_candidates)
             done, n_junctions, _ = canonicalize_blocks(blocks)
             want, want_junctions = reference_canonicalize_blocks(blocks)
             assert n_junctions == want_junctions
             assert [block_fingerprint(b) for b in done] == \
                 [block_fingerprint(b) for b in want]
             joined += n_junctions
-        assert joined > 10
+        assert joined > 10 and candidates > 10

@@ -74,6 +74,11 @@ class TestParseGraphFile:
                 "edge e0 a m 1\nedge e1 m b 1\n")
         assert "valence" in str(err.value)
 
+    def test_vertex_on_no_edge_rejected(self):
+        for extra in ("vertex x\n", "vertex x boundary\n"):
+            with pytest.raises(GraphFormatError, match="vertices on no edge: x"):
+                parse_graph_file(STAR_TXT + extra)
+
     def test_round_trip(self):
         g = parse_graph_file(STAR_TXT)
         g2 = parse_graph_file(emit_graph_file(g))
@@ -199,6 +204,15 @@ class TestCommands:
                         "--horizon", "3/2", "--emit", emit,
                         "--out", tmp_path / "x"]) == 1
             assert "error: emit" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_emit_without_json_exit_1(self, star_file, tmp_path, capsys):
+        # these commands write JSON only; dot alone leaves them nothing
+        for command in ("partition", "parametric", "canonical"):
+            assert run([command, "--graph", star_file, "--sigma", "g1",
+                        "--horizon", "3/2", "--emit", "dot",
+                        "--out", tmp_path / "x"]) == 1
+            assert "error: emit 'dot' leaves" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     def test_missing_file_exit_1(self, tmp_path):

@@ -81,18 +81,18 @@ class TestEikonalBlock:
         h = propagate(interval, "a", F(1, 2))
         part = build_partition([h])
         repr_ = build_parametric(part, family_frames(part, [h]), shifted=True)
-        pb = repr_.block(0, "a")
-        assert pb.matrix_at(F(1, 4)) == pytest.approx(np.array([[1.25]]))
+        pb = repr_.blocks[0]
+        assert pb.generator_at("a", F(1, 4)) == pytest.approx(np.array([[1.25]]))
 
     def test_star_eigenvalues(self, star3):
         _, part, repr_ = star_repr(star3)
         fam2 = next(f for f in part.families if f.dim == 3)
-        pb = repr_.block(fam2.index, "g1")
+        pb = repr_.blocks[fam2.index]
         r = F(1, 8)
-        mat = pb.matrix_at(r)
-        vecs = np.array([t.beta for t in pb.terms])
+        mat = pb.generator_at("g1", r)
+        vecs = np.array([t.beta for t in pb.terms_of("g1")])
         eig = sorted(np.linalg.eigvalsh(vecs @ mat @ vecs.T))
-        want = sorted(float(t.tau(r)) for t in pb.terms)
+        want = sorted(float(t.tau(r)) for t in pb.terms_of("g1"))
         assert np.allclose(eig, want, atol=1e-10)
         # shifted taus per the time cells: 3/2 + r ascending, 5/2 - r descending
         assert want == [float(F(3, 2) + r), float(F(5, 2) - r)]
@@ -101,8 +101,7 @@ class TestEikonalBlock:
         # idempotent, symmetric, pairwise orthogonal for one source
         _, part, repr_ = star_repr(star3)
         for fam in part.families:
-            pb = repr_.block(fam.index, "g1")
-            projs = [t.projector() for t in pb.terms]
+            projs = [t.projector() for t in repr_.blocks[fam.index].terms_of("g1")]
             for i, P in enumerate(projs):
                 assert np.allclose(P @ P, P, atol=1e-9)
                 assert np.allclose(P, P.T)
@@ -113,9 +112,9 @@ class TestEikonalBlock:
         # both taus of the big family meet at value 2 at r = 1/2
         _, part, repr_ = star_repr(star3)
         fam2 = next(f for f in part.families if f.dim == 3)
-        pb = repr_.block(fam2.index, "g1")
-        mat = pb.matrix_at(F(1, 2))
-        vecs = np.array([t.beta for t in pb.terms])
+        pb = repr_.blocks[fam2.index]
+        mat = pb.generator_at("g1", F(1, 2))
+        vecs = np.array([t.beta for t in pb.terms_of("g1")])
         eig = np.linalg.eigvalsh(vecs @ mat @ vecs.T)
         assert np.allclose(eig, [2.0, 2.0])
 
@@ -132,13 +131,13 @@ class TestEvaluateAt:
     def test_polynomial_commutes(self, star3):
         _, part, repr_ = star_repr(star3)
         fam2 = next(f for f in part.families if f.dim == 3)
-        pb = repr_.block(fam2.index, "g1")
+        pb = repr_.blocks[fam2.index]
         r = F(2, 7)
-        mat = pb.matrix_at(r)
+        mat = pb.generator_at("g1", r)
         # q(E)(r) == q(E(r)) for scalar polynomials without constant term
         q_of_mat = 2 * (mat @ mat) - 3 * mat
         q_terms = np.zeros_like(mat)
-        for t in pb.terms:
+        for t in pb.terms_of("g1"):
             v = float(t.tau(r))
             q_terms += (2 * v * v - 3 * v) * t.projector()
         assert np.allclose(q_of_mat, q_terms, atol=1e-10)
