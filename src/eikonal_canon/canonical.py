@@ -33,7 +33,6 @@ from .representation import BlockTerm, CanonicalBlock, ParametricRepr, Piece
 class CanonicalForm:
     sigma: tuple[str, ...]
     horizon: Fraction
-    shifted: bool
     blocks: tuple[CanonicalBlock, ...]
     junctions: int
     notes: tuple[str, ...] = ()
@@ -227,8 +226,7 @@ def _reduced_form(src: ParametricRepr | CanonicalForm,
     canonical = tuple(reduce_block(b, tol) for b in done)
     for cb in canonical:
         _check_canonical_invariants(cb, tol)
-    return CanonicalForm(src.sigma, src.horizon, src.shifted, canonical,
-                         n_junctions, tuple(notes))
+    return CanonicalForm(src.sigma, src.horizon, canonical, n_junctions, tuple(notes))
 
 
 def canonicalize(repr_: ParametricRepr, tol: float = DEFAULT_TOL) -> CanonicalForm:

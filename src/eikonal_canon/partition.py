@@ -9,7 +9,7 @@ its slope +-1 passage-time functions.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -256,25 +256,45 @@ def build_partition(hydras: Sequence[Hydra]) -> Partition:
                 return idx
         raise PartitionDefect(f"position {pos} not inside any cell")
 
-    assigned: dict[int, int] = {}  # raw cell index -> family index
+    assigned: set[int] = set()  # raw cell indices already in a family
     families: list[Family] = []
-    for start_idx in range(len(raw)):
+    for start_idx, (eid, lo, hi) in enumerate(raw):
         if start_idx in assigned:
             continue
-        eid, lo, hi = raw[start_idx]
         eps = hi - lo
-        mid = determination_set(hydras, g.position(eid, lo + eps / 2))
-        member_idx = []
+        x = g.position(eid, lo + eps / 2)
+        mid = determination_set(hydras, x)
+
+        # orientations: along the characteristic through a closure point (p, t),
+        # dt/dr = direction * d(offset)/dr.  The seed cell runs forward; a walk
+        # over the pairs signs every position (its cell) and time (its time cell).
+        links: dict = {}  # closure position or time -> [(time or position, direction)]
+        for p in mid.lam:
+            for h in hydras:
+                for s in h.segments_on(p.edge):
+                    t = s.time_at_offset(p.offset)
+                    if t is not None:
+                        links.setdefault(p, []).append((t, s.direction))
+                        links.setdefault(t, []).append((p, s.direction))
+        sign, stack = {x: 1}, [x]
+        while stack:
+            u = stack.pop()
+            for v, d in links[u]:
+                if v not in sign:
+                    stack.append(v)
+                if sign.setdefault(v, d * sign[u]) != d * sign[u]:
+                    raise PartitionDefect("cell and time-cell orientations disagree")
+
+        mid_of: dict[int, Position] = {}  # member raw index -> its closure point
         for p in mid.lam:
             k = cell_of(p)
             if k in assigned:
                 raise PartitionDefect("cell already assigned to another family")
-            member_idx.append(k)
-        if len(set(member_idx)) != len(mid.lam):
+            mid_of[k] = p
+        if len(mid_of) != len(mid.lam):
             raise PartitionDefect("determination set has two points in one cell")
-        member_idx.sort()
-        members = [raw[k] for k in member_idx]
-        if any(b - a != eps for _, a, b in members):
+        cells = [Cell(*raw[k], sign[mid_of[k]] > 0) for k in sorted(mid_of)]
+        if any(c.length != eps for c in cells):
             raise PartitionDefect("cells of unequal length within a family")
 
         # time cells: midpoint xi values are exactly the time-cell midpoints
@@ -284,48 +304,11 @@ def build_partition(hydras: Sequence[Hydra]) -> Partition:
         for (_, end), (start, _) in zip(tcells, tcells[1:]):
             if end > start:
                 raise PartitionDefect("overlapping time cells in one family")
+        taus = [LinearTimeFn(t - eps / 2, 1, eps) if sign[t] > 0
+                else LinearTimeFn(t + eps / 2, -1, eps) for t in mid.xi]
 
-        # orientations from a second, off-center sample at r* = eps/4
-        rstar = eps / 4
-        first_lo = members[0][1]
-        probe = determination_set(hydras, g.position(members[0][0], first_lo + rstar))
-        if len(probe.lam) != len(members) or len(probe.xi) != len(tcells):
-            raise PartitionDefect("determination set size varies inside a cell")
-        probe_offsets: dict[str, list[Fraction]] = {}
-        for p in probe.lam:
-            if p.vertex is None:
-                probe_offsets.setdefault(p.edge, []).append(p.offset)
-        for offs in probe_offsets.values():
-            offs.sort()
-        cells: list[Cell] = []
-        for (ceid, clo, chi) in members:
-            offs = probe_offsets.get(ceid, [])
-            i = bisect_right(offs, clo)
-            if bisect_left(offs, chi) - i != 1:
-                raise PartitionDefect("probe point missing in a member cell")
-            off = offs[i]
-            if off == clo + rstar:
-                cells.append(Cell(ceid, clo, chi, True))
-            elif off == chi - rstar:
-                cells.append(Cell(ceid, clo, chi, False))
-            else:
-                raise PartitionDefect("probe point is not at parameter r* in its cell")
-        taus: list[LinearTimeFn] = []
-        for start, end in tcells:
-            i = bisect_left(probe.xi, start)
-            if bisect_right(probe.xi, end) - i != 1:
-                raise PartitionDefect("probe time missing in a time cell")
-            if probe.xi[i] == start + rstar:
-                taus.append(LinearTimeFn(start, 1, eps))
-            elif probe.xi[i] == end - rstar:
-                taus.append(LinearTimeFn(end, -1, eps))
-            else:
-                raise PartitionDefect("probe time is not at parameter r* in its cell")
-
-        fam = Family(len(families), tuple(cells), eps, tuple(taus))
-        families.append(fam)
-        for k in member_idx:
-            assigned[k] = fam.index
+        families.append(Family(len(families), tuple(cells), eps, tuple(taus)))
+        assigned.update(mid_of)
 
     if len(assigned) != len(raw):
         raise PartitionDefect("partition does not cover all cells")

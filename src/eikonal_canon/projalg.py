@@ -173,10 +173,12 @@ def word_span_dim(mats: Sequence[np.ndarray], tol: float = DEFAULT_TOL) -> int:
     time.  Each round multiplies every generator by the words that brought
     new directions in the last round; one generator's products are
     normalized and projected out of the span twice, and then, largest
-    residual first, each word whose residual is above tol adds a direction
-    (column-pivoted Gram-Schmidt).  A stack is at most (new words) x
-    kappa^2.  Rounds multiply words, not span directions: a direction taken
-    from a small residual carries roundoff divided by that residual.
+    residual first, each word whose residual is above 10 * tol adds a
+    direction (column-pivoted Gram-Schmidt).  A stack is at most (new words)
+    x kappa^2.  Rounds multiply words, not span directions: a direction taken
+    from a small residual carries roundoff divided by that residual, and
+    that roundoff reaches later residuals (1.8e-9 on a summand whose
+    smallest genuine residual was 1.6e-7), so a pick needs 10 * tol.
     """
     gens = [np.asarray(m, float) for m in mats]
     if not gens:
@@ -200,7 +202,7 @@ def word_span_dim(mats: Sequence[np.ndarray], tol: float = DEFAULT_TOL) -> int:
         while len(res) and len(basis) < cap:
             sizes = np.linalg.norm(res, axis=1)
             p = int(np.argmax(sizes))
-            if sizes[p] <= tol:
+            if sizes[p] <= 10 * tol:
                 break
             q = res[p] - (basis @ res[p]) @ basis
             q /= np.linalg.norm(q)

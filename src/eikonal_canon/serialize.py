@@ -131,11 +131,10 @@ def parametric_json(repr_: ParametricRepr) -> dict:
 
 
 def canonical_json(cf: CanonicalForm) -> dict:
-    shift = 1 if cf.shifted else 0
     return {
         "sigma": list(cf.sigma),
         "horizon": rat(cf.horizon),
-        "shifted": cf.shifted,
+        "shifted": True,
         "junctions": cf.junctions,
         "notes": list(cf.notes),
         "blocks": [
@@ -149,7 +148,7 @@ def canonical_json(cf: CanonicalForm) -> dict:
                         "k": t.k,
                         "tau_shifted": {"intercept": rat(t.tau.intercept),
                                         "slope": t.tau.slope},
-                        "tau_unshifted": {"intercept": rat(t.tau.intercept - shift),
+                        "tau_unshifted": {"intercept": rat(t.tau.intercept - 1),
                                           "slope": t.tau.slope},
                         "beta": [fl(x) for x in t.beta],
                         "projector": [[fl(x) for x in row]
@@ -184,7 +183,7 @@ def spectrum_json(sm: SpectrumModel, quotient: QuotientGraph) -> dict:
         },
         "interior_coincidences": list(sm.interior_coincidences),
         "quotient_graph": {
-            "exploratory": quotient.exploratory,
+            "exploratory": True,
             "nodes": [[list(ep) for ep in node] for node in quotient.nodes],
             "edges": [[a, b, rat(ln), blk] for a, b, ln, blk in quotient.edges],
         },

@@ -51,7 +51,6 @@ class SpectrumModel:
 class QuotientGraph:
     nodes: tuple[tuple[tuple[int, int], ...], ...]  # classes of (block, end)
     edges: tuple[tuple[int, int, Fraction, int], ...]  # (node_a, node_b, len, block)
-    exploratory: bool = True
 
 
 def _commutant_basis(gens: Sequence[np.ndarray], tol: float) -> list[np.ndarray]:
@@ -144,21 +143,11 @@ def build_spectrum(cf: CanonicalForm, tol: float = DEFAULT_TOL) -> SpectrumModel
             tuple(boundary_clusters(cb, 1, tol)),
         ))
     sig: dict[str, tuple] = {}
-    for gamma in cf.sigma:
-        cells = []
-        for cb in cf.blocks:
-            for t in cb.terms_of(gamma):
-                cells.append(t.tau.range_interval())
-        sig[gamma] = tuple(merge_intervals(cells))
-
     coincidences = []
     for gamma in cf.sigma:
-        cells = []
-        for i, cb in enumerate(cf.blocks):
-            for t in cb.terms_of(gamma):
-                lo, hi = t.tau.range_interval()
-                cells.append((lo, hi, i))
-        cells.sort()
+        cells = sorted((*t.tau.range_interval(), i)
+                       for i, cb in enumerate(cf.blocks) for t in cb.terms_of(gamma))
+        sig[gamma] = tuple(merge_intervals((lo, hi) for lo, hi, _ in cells))
         for (lo1, hi1, b1), (lo2, hi2, b2) in zip(cells, cells[1:]):
             if lo2 < hi1:
                 coincidences.append(

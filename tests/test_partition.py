@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from eikonal_canon import (
 )
 from eikonal_canon import partition
 from eikonal_canon.errors import PartitionDefect
+from eikonal_canon.impulse import Hydra
 from conftest import bump, random_admissible_graph
 
 F = Fraction
@@ -139,6 +141,19 @@ class TestBuildPartition:
             p for p in full(hydras) if p != dropped))
         with pytest.raises(PartitionDefect, match="not inside any cell"):
             build_partition([star_hydra])
+
+    def test_flipped_characteristic_is_an_orientation_defect(self, interval):
+        # mirror a's reflected segment: it runs from mid-edge to b over t in
+        # [1, 3/2] instead of from b to mid-edge, so the characteristics
+        # through the midpoint closure give its cells two orientations
+        T = F(3, 2)
+        ha, hb = (propagate(interval, gamma, T) for gamma in ("a", "b"))
+        s = ha.segments[1]
+        assert (s.t0, s.t1, s.off0, s.direction) == (1, F(3, 2), 1, -1)
+        segs = [ha.segments[0], replace(s, off0=s.off1, direction=1)]
+        flipped = Hydra(interval, "a", T, segs, ha.events)
+        with pytest.raises(PartitionDefect, match="orientations disagree"):
+            build_partition([flipped, hb])
 
     def test_star_two_families(self, star3, star_hydra):
         part = build_partition([star_hydra])
@@ -264,13 +279,16 @@ class TestBuildPartition:
             lattice_closure([h], corner_points([h]), cap=2000)
 
     def test_randomized_partitions_are_consistent(self):
+        # 8 common-denominator graphs, then 16 mixed-denominator ones at T up
+        # to 11/4 (their closures grow with the lcm); every family is checked
+        # at an off-centre parameter, where its cells and time cells must
+        # move rigidly the way their orientations say
         rng = random.Random(97)
-        from eikonal_canon import eccentricity
-
-        for _ in range(8):
-            g = random_admissible_graph(rng)
+        for k in range(24):
+            common = k < 8
+            g = random_admissible_graph(rng, common_denominator=common)
             gammas = sorted(g.boundary)[:2]
-            T = F(rng.randint(2, 5), 2)
+            T = F(rng.randint(2, 5), 2) if common else F(rng.randint(4, 11), 4)
             hydras = [propagate(g, gam, T) for gam in gammas]
             part = build_partition(hydras)
             for fam in part.families:

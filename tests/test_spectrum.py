@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from eikonal_canon import (
+    MetricGraph,
     build_parametric,
     build_partition,
     boundary_clusters,
@@ -97,6 +98,17 @@ class TestBoundaryClusters:
         for cb in cf.blocks:
             for end in (0, 1):
                 assert sum(boundary_clusters(cb, end)) <= cb.kappa
+
+    def test_ill_conditioned_star_summands_are_squares(self):
+        # the rank-13 summands at these two ends have genuine word residuals
+        # down to 1.6e-7, and the roundoff those directions carry reaches
+        # 1.8e-9: a pick threshold of tol would count a span of 170
+        g = MetricGraph([("e0", ("c", "b0"), 1), ("e1", ("c", "b1"), F(17, 7)),
+                         ("e2", ("c", "b2"), F(4, 7))], boundary=["b0", "b1", "b2"])
+        _, cf = pipeline(g, ["b0", "b1", "b2"], F(5, 2))
+        assert [cb.kappa for cb in cf.blocks] == [25, 24, 1]
+        assert boundary_clusters(cf.blocks[0], 0) == [12, 13]
+        assert boundary_clusters(cf.blocks[1], 0) == [1, 10, 13]
 
 
 class TestBuildSpectrum:
