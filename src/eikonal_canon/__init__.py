@@ -43,7 +43,6 @@ from .representation import (
     sigma_ac,
 )
 from .projalg import (
-    EquivClass,
     Verdict,
     connection_test,
     equivalence_classes,

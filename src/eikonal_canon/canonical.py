@@ -1,12 +1,12 @@
 """Reduction of the parametric representation to independent canonical blocks.
 
-Families split into irreducible blocks along projector equivalence classes.
-End values of the passage-time functions induce, per source vertex, an exact
-pairing of block ends; ends whose tag sets pair bijectively are junction
-candidates, and candidates passing the signed-Gram connection test are glued
-into a single longer block through an orthogonal witness.  When no junction
-remains, each block is rewritten on an orthonormal basis of its span, giving
-kappa x kappa blocks whose slope +-1 generators span the full matrix algebra.
+Families split into kappa x kappa irreducible blocks, one per projector
+equivalence class, on an orthonormal basis of the class's span.  End values
+of the passage-time functions induce, per source vertex, an exact pairing of
+block ends; ends whose tag sets pair bijectively are junction candidates, and
+candidates passing the signed-Gram connection test are glued into a single
+longer block through an orthogonal witness.  When no junction remains, each
+block's slope +-1 generators span the full matrix algebra.
 """
 
 from __future__ import annotations
@@ -40,22 +40,24 @@ class CanonicalForm:
 
 def split_blocks(repr_: ParametricRepr, tol: float = DEFAULT_TOL
                  ) -> list[CanonicalBlock]:
-    """Partition each family's projectors into equivalence classes -> blocks."""
+    """Each family's projector classes -> blocks on the Gram-Schmidt basis of their span."""
     blocks: list[CanonicalBlock] = []
     for fam in repr_.families:
         entries = repr_.blocks[fam.index].terms
         if not entries:
             continue
-        for cls in equivalence_classes([t.beta for t in entries], tol):
+        for members in equivalence_classes([t.beta for t in entries], tol):
             per_gamma_count: Counter[str] = Counter()
             terms = []
-            for idx in cls.members:
+            for idx in members:
                 t = entries[idx]
                 terms.append(replace(t, k=per_gamma_count[t.gamma]))
                 per_gamma_count[t.gamma] += 1
             terms.sort(key=lambda t: (t.gamma, t.k))
+            q = irreducible_reduction([t.beta for t in terms], tol)
             blocks.append(CanonicalBlock(
-                fam.epsilon, fam.dim, tuple(terms),
+                fam.epsilon, q.shape[1],
+                tuple(replace(t, beta=q.T @ t.beta) for t in terms),
                 (Piece(len(blocks), Fraction(0), fam.epsilon, False),)))
     return blocks
 
@@ -212,35 +214,27 @@ def canonicalize_blocks(blocks: Sequence[CanonicalBlock], tol: float = DEFAULT_T
     return list(live.values()), n_junctions, notes
 
 
-def reduce_block(b: CanonicalBlock, tol: float = DEFAULT_TOL) -> CanonicalBlock:
-    """Rewrite a block on an orthonormal basis of its projector span."""
-    q, _ = irreducible_reduction(b.betas(), tol)
-    terms = tuple(replace(t, beta=q.T @ t.beta) for t in b.terms)
-    return replace(b, kappa=q.shape[1], terms=terms)
-
-
-def _reduced_form(src: ParametricRepr | CanonicalForm,
-                  blocks: list[CanonicalBlock], tol: float) -> CanonicalForm:
-    """Junction to exhaustion, rewrite each block on its span, check it."""
+def _joined_form(src: ParametricRepr | CanonicalForm,
+                 blocks: list[CanonicalBlock], tol: float) -> CanonicalForm:
+    """Junction to exhaustion and check each block."""
     done, n_junctions, notes = canonicalize_blocks(blocks, tol)
-    canonical = tuple(reduce_block(b, tol) for b in done)
-    for cb in canonical:
+    for cb in done:
         _check_canonical_invariants(cb, tol)
-    return CanonicalForm(src.sigma, src.horizon, canonical, n_junctions, tuple(notes))
+    return CanonicalForm(src.sigma, src.horizon, tuple(done), n_junctions, tuple(notes))
 
 
 def canonicalize(repr_: ParametricRepr, tol: float = DEFAULT_TOL) -> CanonicalForm:
-    """Full reduction: split, junction to exhaustion, orthonormal rewrite."""
+    """Full reduction: split onto class spans, junction to exhaustion."""
     if not repr_.shifted:
         raise EikonalError("canonicalize expects the shifted representation")
-    return _reduced_form(repr_, split_blocks(repr_, tol), tol)
+    return _joined_form(repr_, split_blocks(repr_, tol), tol)
 
 
 def recanonicalize(cf: CanonicalForm, tol: float = DEFAULT_TOL) -> CanonicalForm:
     """Run the junction loop again on a canonical form (idempotence check)."""
     blocks = [replace(cb, pieces=(Piece(i, Fraction(0), cb.length, False),))
               for i, cb in enumerate(cf.blocks)]
-    return _reduced_form(cf, blocks, tol)
+    return _joined_form(cf, blocks, tol)
 
 
 def _check_canonical_invariants(cb: CanonicalBlock, tol: float) -> None:

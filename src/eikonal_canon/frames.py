@@ -36,16 +36,15 @@ class AlphaSet:
 
 @dataclass(frozen=True)
 class BetaFrame:
-    """Orthonormalized amplitude vectors with their transition matrix.
+    """Orthonormalized amplitude vectors.
 
     vectors is n x m; zero rows mark amplitude vectors dependent on their
-    predecessors (or sources whose waves have not arrived).  transition is the
-    lower-triangular rho with beta = rho @ alpha.  support masks the columns
-    inside the source's filled region (Sigma case), all-True otherwise.
+    predecessors (or sources whose waves have not arrived).  support masks
+    the columns inside the source's filled region (Sigma case), all-True
+    otherwise.
     """
 
     vectors: np.ndarray
-    transition: np.ndarray
     support: np.ndarray
     nonzero: tuple[int, ...]
 
@@ -88,23 +87,17 @@ def gram_schmidt(a: np.ndarray, tol: float = DEFAULT_TOL) -> BetaFrame:
     a = np.asarray(a, float)
     n, m = a.shape
     betas = np.zeros((n, m))
-    rho = np.zeros((n, n))
     nonzero: list[int] = []
     for i in range(n):
-        coeff = np.zeros(n)
-        coeff[i] = 1.0
         resid = a[i].copy()
         for j in nonzero:
-            c = float(resid @ betas[j])
-            resid -= c * betas[j]
-            coeff -= c * rho[j]
+            resid -= float(resid @ betas[j]) * betas[j]
         norm = float(np.linalg.norm(resid))
         if norm <= tol:
             continue
         betas[i] = resid / norm
-        rho[i] = coeff / norm
         nonzero.append(i)
-    return BetaFrame(betas, rho, np.ones(m, dtype=bool), tuple(nonzero))
+    return BetaFrame(betas, np.ones(m, dtype=bool), tuple(nonzero))
 
 
 def family_frames(partition: Partition, hydras: Sequence[Hydra],

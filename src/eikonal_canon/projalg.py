@@ -11,18 +11,12 @@ which case an explicit orthogonal witness intertwines them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import EikonalError
 from .frames import DEFAULT_TOL, gram_schmidt
-
-
-@dataclass(frozen=True)
-class EquivClass:
-    members: tuple[int, ...]
-    kappa: int
 
 
 @dataclass(frozen=True)
@@ -43,9 +37,9 @@ def _unit_rows(vectors) -> np.ndarray:
     return vecs
 
 
-def connected_classes(n: int, linked: Callable[[int, int], bool]
+def connected_classes(n: int, pairs: Iterable[tuple[int, int]]
                       ) -> list[tuple[int, ...]]:
-    """Classes of range(n) under the transitive closure of linked(i, j), i < j.
+    """Classes of range(n) under the transitive closure of the linked pairs.
 
     Union-find; each class is sorted and classes come by smallest member.
     """
@@ -57,28 +51,28 @@ def connected_classes(n: int, linked: Callable[[int, int], bool]
             i = parent[i]
         return i
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if linked(i, j):
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
+    for i, j in pairs:
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[max(ri, rj)] = min(ri, rj)
     groups: dict[int, list[int]] = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
     return [tuple(groups[root]) for root in sorted(groups)]
 
 
-def equivalence_classes(vectors, tol: float = DEFAULT_TOL) -> list[EquivClass]:
+def equivalence_classes(vectors, tol: float = DEFAULT_TOL) -> list[tuple[int, ...]]:
     """Transitive closure of |<b_i, b_j>| > tol over unit-vector rows.
 
-    Classes come by smallest member; kappa is the dimension of the span.
+    The links are read off one Gram product; classes are sorted member
+    tuples and come by smallest member.
     """
     vecs = _unit_rows(vectors)
-    classes = connected_classes(
-        len(vecs), lambda i, j: abs(float(vecs[i] @ vecs[j])) > tol)
-    return [EquivClass(members, len(gram_schmidt(vecs[list(members)], tol).nonzero))
-            for members in classes]
+    if not len(vecs):
+        return []
+    rows, cols = np.nonzero(np.abs(vecs @ vecs.T) > tol)
+    upper = rows < cols
+    return connected_classes(len(vecs), zip(rows[upper].tolist(), cols[upper].tolist()))
 
 
 def gram_matrix(vectors) -> np.ndarray:
@@ -151,19 +145,9 @@ def connection_test(p1, p2, pairing: Mapping[int, int],
                    witness)
 
 
-def irreducible_reduction(vectors, tol: float = DEFAULT_TOL
-                          ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Orthonormal basis of the span of unit-vector rows and their projectors in it.
-
-    Returns (basis Q with kappa columns, kappa x kappa images Q^T P_i Q).
-    """
-    vecs = _unit_rows(vectors)
-    q = gram_schmidt(vecs, tol).nonzero_matrix().T
-    images = []
-    for v in vecs:
-        w = q.T @ v
-        images.append(np.outer(w, w))
-    return q, images
+def irreducible_reduction(vectors, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Gram-Schmidt basis (kappa columns) of the span of unit-vector rows, in row order."""
+    return gram_schmidt(_unit_rows(vectors), tol).nonzero_matrix().T
 
 
 def word_span_dim(mats: Sequence[np.ndarray], tol: float = DEFAULT_TOL) -> int:
@@ -186,33 +170,35 @@ def word_span_dim(mats: Sequence[np.ndarray], tol: float = DEFAULT_TOL) -> int:
     dim = gens[0].shape[0]
     cap = dim * dim
     gens = [g / nm for g in gens if (nm := float(np.linalg.norm(g))) > tol]
-    basis = np.zeros((0, cap))
+    basis = np.empty((cap, cap))  # rows < rank span; unwritten rows stay unpaged
+    rank = 0
 
     def absorb(words: np.ndarray) -> np.ndarray:
         """Add the new directions of a stack of words; return the words that did."""
-        nonlocal basis
+        nonlocal rank
         words = words.reshape(len(words), cap)
         norms = np.linalg.norm(words, axis=1)
-        keep = (norms > tol) & (len(basis) < cap)  # a full span takes nothing
+        keep = (norms > tol) & (rank < cap)  # a full span takes nothing
         words = words[keep] / norms[keep, None]
         res = words
         for _ in range(2):  # re-orthogonalize: one pass alone drifts
-            res = res - (res @ basis.T) @ basis
+            res = res - (res @ basis[:rank].T) @ basis[:rank]
         picked = []
-        while len(res) and len(basis) < cap:
+        while len(res) and rank < cap:
             sizes = np.linalg.norm(res, axis=1)
             p = int(np.argmax(sizes))
             if sizes[p] <= 10 * tol:
                 break
-            q = res[p] - (basis @ res[p]) @ basis
+            q = res[p] - (basis[:rank] @ res[p]) @ basis[:rank]
             q /= np.linalg.norm(q)
             res = res - np.outer(res @ q, q)
-            basis = np.vstack([basis, q])
+            basis[rank] = q
+            rank += 1
             picked.append(p)
         return words[picked]
 
     layer = absorb(np.array(gens))
-    while len(layer) and len(basis) < cap:
+    while len(layer) and rank < cap:
         words = layer.reshape(-1, dim, dim)
         layer = np.vstack([absorb(g @ words) for g in gens])
-    return len(basis)
+    return rank

@@ -59,8 +59,8 @@ class CanonicalBlock:
     family's dim); `canonical` splits them into irreducible blocks, addressed
     by their position in a block list, whose pieces record where their
     stretches came from.  The betas live in R^kappa: the family's cell space
-    while blocks are split and joined, an orthonormal basis of the projector
-    span once `reduce_block` has rewritten them.
+    in the parametric form, an orthonormal basis of the projector span from
+    the split on.
     """
 
     length: Fraction

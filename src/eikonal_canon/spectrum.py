@@ -179,8 +179,10 @@ def quotient_graph(sm: SpectrumModel) -> QuotientGraph:
     endpoints = [(i, end) for i in range(len(cf.blocks)) for end in (0, 1)]
     coords = [gamma_coordinates(cf, i, cf.blocks[i].length if end else Fraction(0))
               for i, end in endpoints]
-    classes = connected_classes(len(endpoints), lambda a, b: any(
-        set(coords[a][gamma]) & set(coords[b][gamma]) for gamma in cf.sigma))
+    first: dict[tuple[str, Fraction], int] = {}  # per source value, its first endpoint
+    classes = connected_classes(len(endpoints), [
+        (first.setdefault((gamma, value), k), k)
+        for k, c in enumerate(coords) for gamma in cf.sigma for value in c[gamma]])
     nodes = tuple(tuple(endpoints[k] for k in members) for members in classes)
     node_of = {ep: node_idx for node_idx, members in enumerate(nodes) for ep in members}
     edges = tuple(

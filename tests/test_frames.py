@@ -92,13 +92,6 @@ class TestGramSchmidt:
         frame = gram_schmidt(np.array([[0.0, 0.0], [1.0, 0.0]]))
         assert frame.nonzero == (1,)
 
-    def test_transition_reconstructs(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            a = rng.normal(size=(4, 6))
-            frame = gram_schmidt(a)
-            assert np.allclose(frame.transition @ a, frame.vectors, atol=1e-9)
-
 
 class TestFamilyFrames:
     def test_interval(self, interval):

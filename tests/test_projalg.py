@@ -24,22 +24,31 @@ def unit(vec):
     return v / np.linalg.norm(v)
 
 
+def classes_with_kappa(fam):
+    """(members, kappa) per class, kappa read off the class's reduction."""
+    return [(members, irreducible_reduction([fam[i] for i in members]).shape[1])
+            for members in equivalence_classes(fam)]
+
+
 class TestEquivalenceClasses:
     def test_orthogonal_pair(self):
-        cls = equivalence_classes([unit([1, 0]), unit([0, 1])])
-        assert [(c.members, c.kappa) for c in cls] == [((0,), 1), ((1,), 1)]
+        fam = [unit([1, 0]), unit([0, 1])]
+        assert classes_with_kappa(fam) == [((0,), 1), ((1,), 1)]
 
     def test_overlapping_pair(self):
-        cls = equivalence_classes([unit([1, 0]), unit([1, 1])])
-        assert [(c.members, c.kappa) for c in cls] == [((0, 1), 2)]
+        fam = [unit([1, 0]), unit([1, 1])]
+        assert classes_with_kappa(fam) == [((0, 1), 2)]
 
     def test_star_family(self):
-        cls = equivalence_classes([unit([1, 0, 0]), unit([0, 1, 1])])
-        assert [(c.members, c.kappa) for c in cls] == [((0,), 1), ((1,), 1)]
+        fam = [unit([1, 0, 0]), unit([0, 1, 1])]
+        assert classes_with_kappa(fam) == [((0,), 1), ((1,), 1)]
 
     def test_transitive_chain(self):
-        cls = equivalence_classes([unit([1, 0, 0]), unit([0, 0, 1]), unit([1, 1, 1])])
-        assert len(cls) == 1 and cls[0].kappa == 3
+        fam = [unit([1, 0, 0]), unit([0, 0, 1]), unit([1, 1, 1])]
+        assert classes_with_kappa(fam) == [((0, 1, 2), 3)]
+
+    def test_empty_family(self):
+        assert equivalence_classes([]) == []
 
 
 class TestGram:
@@ -232,26 +241,32 @@ def block_algebra_generators(rng):
     return gens
 
 
+def assert_spans(q, fam):
+    """q has orthonormal columns whose span holds every row of fam."""
+    assert np.allclose(q.T @ q, np.eye(q.shape[1]))
+    for p in fam:
+        assert np.allclose(q @ q.T @ p, p)
+
+
 class TestReductionAndWords:
     def test_full_rank_class(self):
         fam = [unit([1, 0]), unit([1, 1])]
-        q, images = irreducible_reduction(fam)
+        q = irreducible_reduction(fam)
         assert q.shape == (2, 2)
-        for img, p in zip(images, fam):
-            assert np.allclose(q @ img @ q.T, np.outer(p, p))
-            assert np.allclose(img @ img, img, atol=1e-9)
+        assert_spans(q, fam)
 
     def test_one_dim_class_in_r3(self):
         fam = [unit([0, 1, 1])]
-        q, images = irreducible_reduction(fam)
+        q = irreducible_reduction(fam)
         assert q.shape == (3, 1)
-        assert np.allclose(images[0], [[1.0]])
+        assert_spans(q, fam)
 
     def test_zero_padding_stripped(self):
         fam = [unit([1, 1, 0, 0]), unit([0, 1, 0, 0])]
-        q, images = irreducible_reduction(fam)
+        q = irreducible_reduction(fam)
         assert q.shape == (4, 2)
         assert np.allclose(q[2:, :], 0)
+        assert_spans(q, fam)
 
     def test_word_span_reaches_kappa_squared(self):
         rng = np.random.default_rng(31)
@@ -259,9 +274,10 @@ class TestReductionAndWords:
             vecs = rng.normal(size=(n, m))
             vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
             fam = [unit(v) for v in vecs]
-            (cls,) = equivalence_classes(fam)  # generic vectors: one class
+            (members,) = equivalence_classes(fam)  # generic vectors: one class
+            kappa = irreducible_reduction([fam[i] for i in members]).shape[1]
             mats = [np.outer(v, v) for v in vecs]
-            assert word_span_dim(mats) == cls.kappa ** 2
+            assert word_span_dim(mats) == kappa ** 2
 
     def test_word_span_with_multiplicity(self):
         # M_2 acting on R^2 (x) R^2 with multiplicity 2: dimension 4, not 16
