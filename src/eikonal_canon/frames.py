@@ -8,7 +8,7 @@ determination set, supported only where that source's waves have arrived.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -29,9 +29,17 @@ class AlphaSet:
     positions: tuple[Position, ...]
     times: tuple[Fraction, ...]
     matrix: tuple[tuple[Fraction, ...], ...]
+    # (row, column, amplitude) of each amplitude `alpha_set` read
+    _entries: tuple[tuple[int, int, Fraction], ...] | None = field(
+        default=None, repr=False, compare=False)
 
     def as_float(self) -> np.ndarray:
-        return np.array([[float(a) for a in row] for row in self.matrix], dtype=float)
+        if self._entries is None:
+            return np.array(self.matrix, dtype=float).reshape(len(self.times), len(self.positions))
+        out = np.zeros((len(self.times), len(self.positions)))
+        for i, j, a in self._entries:
+            out[i, j] = a
+        return out
 
 
 @dataclass(frozen=True)
@@ -39,13 +47,10 @@ class BetaFrame:
     """Orthonormalized amplitude vectors.
 
     vectors is n x m; zero rows mark amplitude vectors dependent on their
-    predecessors (or sources whose waves have not arrived).  support masks
-    the columns inside the source's filled region (Sigma case), all-True
-    otherwise.
+    predecessors (or sources whose waves have not arrived).
     """
 
     vectors: np.ndarray
-    support: np.ndarray
     nonzero: tuple[int, ...]
 
     @property
@@ -68,21 +73,25 @@ def alpha_set(hydra: Hydra, positions: Sequence[Position],
     positions = tuple(positions)
     row_of = {t: i for i, t in enumerate(times)}
     rows = [[ZERO] * len(positions) for _ in times]
+    entries = []
     for j, x in enumerate(positions):
         for t, a in hydra.amplitudes_at(x).items():
             i = row_of.get(t)
             if i is not None:
                 rows[i][j] = a
-    # a repeated time reads the row filled under its last index
-    return AlphaSet(positions, times, tuple(tuple(rows[row_of[t]]) for t in times))
+                entries.append((i, j, a))
+    for i, row in enumerate(rows):
+        rows[i] = tuple(row)  # one row at a time, so the lists go as the tuples come
+    if len(row_of) < len(times):  # a repeated time reads the row filled under its last index
+        return AlphaSet(positions, times, tuple(rows[row_of[t]] for t in times))
+    return AlphaSet(positions, times, tuple(rows), tuple(entries))
 
 
 def gram_schmidt(a: np.ndarray, tol: float = DEFAULT_TOL) -> BetaFrame:
     """Three-branch Gram-Schmidt of the rows: normalize, orthonormalize, or zero out.
 
     A row whose residual norm is <= tol lies in the span of its predecessors
-    (a zero first row included) and produces a zero beta.  The support is
-    all columns.
+    (a zero first row included) and produces a zero beta.
     """
     a = np.asarray(a, float)
     n, m = a.shape
@@ -97,7 +106,7 @@ def gram_schmidt(a: np.ndarray, tol: float = DEFAULT_TOL) -> BetaFrame:
             continue
         betas[i] = resid / norm
         nonzero.append(i)
-    return BetaFrame(betas, np.ones(m, dtype=bool), tuple(nonzero))
+    return BetaFrame(betas, tuple(nonzero))
 
 
 def family_frames(partition: Partition, hydras: Sequence[Hydra],
@@ -132,9 +141,7 @@ def family_frames(partition: Partition, hydras: Sequence[Hydra],
             if a1.matrix != a2.matrix:
                 raise FrameError(
                     f"amplitudes not constant across cells of family {fam.index}")
-            gp = g.vertex_position(gamma)
-            support = np.array([g.distance(x, gp) <= T for x in lam1], dtype=bool)
-            frame = replace(gram_schmidt(a1.as_float(), tol), support=support)
+            frame = gram_schmidt(a1.as_float(), tol)
             if single and len(frame.nonzero) != frame.n and T < t_fill:
                 raise InvariantViolation(
                     "zero beta row for a single subcritical source; amplitude "

@@ -12,9 +12,11 @@ The space-time support of the result, truncated at the horizon, is the hydra.
 from __future__ import annotations
 
 import heapq
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import EventCapExceeded, InvalidGraphError
 from .metric_graph import MetricGraph, Position, ZERO
@@ -73,35 +75,17 @@ class Hydra:
     def segments_on(self, edge_id: str) -> Sequence[HydraSegment]:
         return self._by_edge.get(edge_id, ())
 
-    def _probe_slots(self, pos: Position) -> list[tuple[str, Fraction]]:
-        """(edge, offset) pairs to solve against; vertices probe all incident ends."""
-        if pos.vertex is None:
-            return [(pos.edge, pos.offset)]
-        g = self.graph
-        slots = []
-        for ei, end in g.incidence(pos.vertex):
-            e = g.edges[ei]
-            slots.append((e.id, g.end_offset(e, end)))
-        return slots
-
     def times_at(self, pos: Position) -> list[Fraction]:
         """Sorted times t with (pos, t) on the hydra."""
-        times: set[Fraction] = set()
-        for edge_id, offset in self._probe_slots(pos):
-            for s in self.segments_on(edge_id):
-                t = s.time_at_offset(offset)
-                if t is not None:
-                    times.add(t)
-        return sorted(times)
+        ticks = _Ticks((self,), (pos.offset,))
+        return [ticks.fraction(t) for t in sorted(ticks.times_at(ticks.key(pos)))]
 
-    def positions_at(self, t: Fraction) -> list[Position]:
+    def positions_at(self, t) -> list[Position]:
         """Positions of the hydra's time slice, canonical and sorted."""
         t = Fraction(t)
-        found: set[Position] = set()
-        for s in self.segments:
-            if s.t0 <= t <= s.t1:
-                found.add(self.graph.position(s.edge, s.offset_at(t)))
-        return sorted(found, key=Position.sort_key)
+        ticks = _Ticks((self,), (t,))
+        keys = sorted(set(ticks.positions_at(ticks.tick(t))), key=ticks.sort_key)
+        return [ticks.position(k) for k in keys]
 
     def amplitudes_at(self, pos: Position) -> dict[Fraction, Fraction]:
         """Amplitude at every passage time of a position, in one segment scan.
@@ -221,44 +205,153 @@ def check_same_stage(hydras: Sequence[Hydra]) -> None:
         raise ValueError("hydras must have distinct source vertices")
 
 
-def union_times_at(hydras: Sequence[Hydra], pos: Position) -> list[Fraction]:
-    times: set[Fraction] = set()
-    for h in hydras:
-        times.update(h.times_at(pos))
-    return sorted(times)
+class _Ticks:
+    """The segments of one or more hydras on an integer grid, indexed by edge.
 
+    A tick is 1/scale.  The scale is the lcm of 4 * (the common denominator
+    of the edge lengths, the horizon and the segment ends) with the
+    denominators of `values`: two characteristics cross at half ticks of
+    the segment grid, and the cells between such points have their
+    midpoints at quarter ticks, so every point the partition visits is a
+    whole tick.  A position is an int key: -1 - i for the i-th vertex of
+    the graph, offset * E + i for a point inside the i-th of its E edges.
+    Each edge keeps its segments as (t0, t1, off0, direction) tuples sorted
+    by t0, with their starts and longest duration: the times at a position
+    are one scan of its edge's list, the positions at a time one bisect per
+    edge.  Fractions and Positions are made (and cached) only on request.
+    """
 
-def union_positions_at(hydras: Sequence[Hydra], t) -> list[Position]:
-    found: set[Position] = set()
-    for h in hydras:
-        found.update(h.positions_at(t))
-    return sorted(found, key=Position.sort_key)
+    def __init__(self, hydras: Sequence[Hydra], values: Iterable = ()):
+        g = hydras[0].graph
+        segments = [s for h in hydras for s in h.segments]
+        dens = [e.length.denominator for e in g.edges]
+        dens.append(hydras[0].horizon.denominator)
+        for s in segments:
+            dens += (s.t0.denominator, s.t1.denominator, s.off0.denominator)
+        self.scale = math.lcm(4 * math.lcm(*dens), *(v.denominator for v in values))
+        self.graph = g
+        self.horizon = self.tick(hydras[0].horizon)
+        self._n_edges = len(g.edges)
+        self._vkey = vkey = {v: -1 - i for i, v in enumerate(g.vertices)}
+        self._length = [self.tick(e.length) for e in g.edges]
+        self._end_keys = [(vkey[e.ends[0]], vkey[e.ends[1]]) for e in g.edges]
+        self._vertex_slots = {
+            vkey[v]: [(ei, self._length[ei] if end else 0) for ei, end in g.incidence(v)]
+            for v in g.vertices}
+        self.rows: list[list[tuple[int, int, int, int]]] = [[] for _ in g.edges]
+        for s in segments:
+            self.rows[g.edge_pos(s.edge)].append(
+                (self.tick(s.t0), self.tick(s.t1), self.tick(s.off0), s.direction))
+        for row in self.rows:
+            row.sort()
+        self._starts = [[s[0] for s in row] for row in self.rows]
+        self._span = [max((s[1] - s[0] for s in row), default=0) for row in self.rows]
+        self._positions: dict[int, Position] = {}
+        self._fractions: dict[int, Fraction] = {}
+
+    # -- boundary: Fractions and Positions to ticks and keys, and back -----
+
+    def tick(self, q) -> int:
+        if self.scale % q.denominator:
+            raise ValueError(f"{q} is not on the tick grid 1/{self.scale}")
+        return q.numerator * (self.scale // q.denominator)
+
+    def key(self, pos: Position) -> int:
+        if pos.vertex is not None:
+            return self._vkey[pos.vertex]
+        return self.tick(pos.offset) * self._n_edges + self.graph.edge_pos(pos.edge)
+
+    def key_on(self, ei: int, offset: int) -> int:
+        """Key of the point at a tick offset on the ei-th edge; ends are vertices."""
+        if offset == 0:
+            return self._end_keys[ei][0]
+        if offset == self._length[ei]:
+            return self._end_keys[ei][1]
+        return offset * self._n_edges + ei
+
+    def slots(self, key: int) -> list[tuple[int, int]]:
+        """(edge index, tick offset) pairs of a position; a vertex has one per end."""
+        if key < 0:
+            return self._vertex_slots[key]
+        return [(key % self._n_edges, key // self._n_edges)]
+
+    def fraction(self, n: int) -> Fraction:
+        q = self._fractions.get(n)
+        if q is None:
+            q = self._fractions[n] = Fraction(n, self.scale)
+        return q
+
+    def position(self, key: int) -> Position:
+        p = self._positions.get(key)
+        if p is None:
+            g = self.graph
+            if key < 0:
+                p = g.vertex_position(g.vertices[-1 - key])
+            else:
+                p = Position(g.edges[key % self._n_edges].id,
+                             self.fraction(key // self._n_edges), None)
+            self._positions[key] = p
+        return p
+
+    def sort_key(self, key: int):
+        """Position.sort_key of a key's position, on ticks."""
+        if key < 0:
+            return (0, self.graph.vertices[-1 - key], "", 0)
+        return (1, "", self.graph.edges[key % self._n_edges].id, key // self._n_edges)
+
+    # -- queries on ticks ----------------------------------------------------
+
+    def times_at(self, key: int) -> dict[int, int]:
+        """{time: direction} of the characteristics through a position.
+
+        A time reached in both directions (a crossing, or a vertex) maps to 0.
+        """
+        hits: dict[int, int] = {}
+        for ei, x in self.slots(key):
+            for t0, t1, off0, d in self.rows[ei]:
+                t = t0 + d * (x - off0)
+                if t0 <= t <= t1:
+                    hits[t] = d if hits.get(t, d) == d else 0
+        return hits
+
+    def positions_at(self, t: int) -> list[int]:
+        """Keys of the positions at time t (a position may repeat)."""
+        found = []
+        for ei, row in enumerate(self.rows):
+            starts = self._starts[ei]
+            for i in range(bisect_left(starts, t - self._span[ei]), bisect_right(starts, t)):
+                t0, t1, off0, d = row[i]
+                if t <= t1:
+                    found.append(self.key_on(ei, off0 + d * (t - t0)))
+        return found
+
+    def crossings(self) -> set[tuple[int, int]]:
+        """(key, time) of transversal crossings of segment pairs on one edge.
+
+        Pairs that only touch at segment endpoints are vertex events, not
+        crossings, and are excluded.
+        """
+        points: set[tuple[int, int]] = set()
+        for ei, row in enumerate(self.rows):
+            for i, (a0, a1, a_off, d) in enumerate(row):
+                for b0, b1, b_off, e in row[i + 1:]:
+                    if b0 >= a1:
+                        break  # this and every later segment starts after a ends
+                    if e == d:
+                        continue  # parallel in space-time; no transversal crossing
+                    # a_off + d*(t - a0) == b_off - d*(t - b0); segment ends are
+                    # multiples of 4 ticks, so t is whole
+                    t = (d * (b_off - a_off) + a0 + b0) // 2
+                    if a0 < t < a1 and b0 < t < b1:
+                        points.add((self.key_on(ei, a_off + d * (t - a0)), t))
+        return points
 
 
 def self_intersections(hydras: Sequence[Hydra]) -> set[tuple[Position, Fraction]]:
-    """Transversal crossings of characteristic pairs, within and across hydras.
-
-    Pairs that only touch at segment endpoints are vertex events, not
-    crossings, and are excluded.
-    """
+    """Transversal crossings of characteristic pairs, within and across hydras."""
     check_same_stage(hydras)
-    g = hydras[0].graph
-    by_edge: dict[str, list[HydraSegment]] = {}
-    for h in hydras:
-        for s in h.segments:
-            by_edge.setdefault(s.edge, []).append(s)
-    points: set[tuple[Position, Fraction]] = set()
-    for edge_id, segs in by_edge.items():
-        for i, a in enumerate(segs):
-            for b in segs[i + 1:]:
-                if a.direction == b.direction:
-                    continue  # parallel in space-time; no transversal crossing
-                # solve a.off0 + d*(t - a.t0) == b.off0 - d*(t - b.t0)
-                d = a.direction
-                t = ((b.off0 - a.off0) + d * (a.t0 + b.t0)) / (2 * d)
-                if a.t0 < t < a.t1 and b.t0 < t < b.t1:
-                    points.add((g.position(edge_id, a.offset_at(t)), t))
-    return points
+    ticks = _Ticks(hydras)
+    return {(ticks.position(k), ticks.fraction(t)) for k, t in ticks.crossings()}
 
 
 def wave_eval(hydras: Sequence[Hydra], controls: Mapping[str, Callable[[float], float]],

@@ -25,7 +25,7 @@ class Edge:
     length: Fraction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Position:
     """A point of the graph: a vertex, or an interior point of an edge.
 
@@ -41,6 +41,11 @@ class Position:
         if self.vertex is not None:
             return (0, self.vertex, "", ZERO)
         return (1, "", self.edge, self.offset)
+
+    def __hash__(self) -> int:
+        # equal offsets have equal lowest terms, so hashing those ints agrees
+        # with == and skips Fraction.__hash__
+        return hash((self.edge, self.offset.numerator, self.offset.denominator, self.vertex))
 
     def __repr__(self) -> str:
         if self.vertex is not None:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import ClosureCapExceeded, EikonalError, PartitionDefect
-from .impulse import Hydra, check_same_stage, self_intersections, union_positions_at, union_times_at
+from .impulse import Hydra, _Ticks, check_same_stage
 from .metric_graph import MetricGraph, Position, covered_intervals
 
 CLOSURE_CAP = 10 ** 5
@@ -30,7 +30,7 @@ class DeterminationSet:
     xi: tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cell:
     """Open interval of regular points on one edge, oriented by the family parameter."""
 
@@ -145,169 +145,219 @@ class Partition:
         return None
 
 
+class _Closure(frozenset):
+    """A lattice closure's (Position, Fraction) points, made from its tick form:
+    the key of each position in it, on `ticks`."""
+
+    ticks: _Ticks
+    positions: set[int]
+
+    @classmethod
+    def of(cls, ticks: _Ticks, positions: set[int]) -> "_Closure":
+        closure = cls((ticks.position(k), ticks.fraction(t))
+                      for k in positions for t in ticks.times_at(k))
+        closure.ticks, closure.positions = ticks, positions
+        return closure
+
+
+def _close(ticks: _Ticks, seeds: Sequence[tuple[int, int]], cap: int) -> set[int]:
+    """Positions of the components of the position-time incidence that hold the seeds.
+
+    Only the positions and times reached are kept, so memory grows with
+    them and not with the points (a position can pass dozens of times).
+    """
+    positions: set[int] = set()
+    times: set[int] = set()
+    todo: list[int] = []
+    n_points = 0
+
+    def visit(k: int) -> dict[int, int]:
+        nonlocal n_points
+        found = ticks.times_at(k)
+        if k not in positions:
+            positions.add(k)
+            n_points += len(found)
+            todo.extend(t for t in found if t not in times)
+            times.update(found)
+        return found
+
+    for k, t in seeds:
+        if t not in visit(k):
+            raise ValueError(f"seed ({ticks.position(k)}, {ticks.fraction(t)}) "
+                             "does not lie on the hydra union")
+    while n_points <= cap and todo:
+        for k in ticks.positions_at(todo.pop()):
+            if k not in positions:
+                visit(k)
+    if n_points > cap:
+        raise ClosureCapExceeded(
+            f"lattice closure exceeded its cap of {cap} points: reached {n_points} "
+            f"points on {len(positions)} positions and {len(times)} times")
+    return positions
+
+
 def lattice_closure(hydras: Sequence[Hydra], seeds: Iterable[SpaceTimePoint],
                     cap: int = CLOSURE_CAP) -> frozenset[SpaceTimePoint]:
     """Smallest hydra subset containing seeds, closed under shared position / time."""
     check_same_stage(hydras)
-    seeds = {(p, Fraction(t)) for p, t in seeds}
-    for p, t in seeds:
-        if t not in union_times_at(hydras, p):
-            raise ValueError(f"seed ({p}, {t}) does not lie on the hydra union")
-    current: set[SpaceTimePoint] = set(seeds)
-    frontier = set(seeds)
-    pos_done: set[Position] = set()
-    time_done: set[Fraction] = set()
-    while frontier:
-        new: set[SpaceTimePoint] = set()
-        for p, t in frontier:
-            if p not in pos_done:
-                pos_done.add(p)
-                for tt in union_times_at(hydras, p):
-                    new.add((p, tt))
-            if t not in time_done:
-                time_done.add(t)
-                for pp in union_positions_at(hydras, t):
-                    new.add((pp, t))
-        frontier = new - current
-        current |= frontier
-        if len(current) > cap:
-            raise ClosureCapExceeded(f"lattice closure exceeded {cap} points")
-    return frozenset(current)
+    seeds = [(p, Fraction(t)) for p, t in seeds]
+    ticks = _Ticks(hydras, [v for p, t in seeds for v in (p.offset, t)])
+    positions = _close(ticks, [(ticks.key(p), ticks.tick(t)) for p, t in seeds], cap)
+    return _Closure.of(ticks, positions)
+
+
+def _family_closure(hydras: Sequence[Hydra], ticks: _Ticks, key: int) -> _Closure:
+    """The lattice closure of every passage through one position."""
+    x = ticks.position(key)
+    times = ticks.times_at(key)
+    if not times:
+        raise PartitionDefect(f"{x} is not reached by the hydras")
+    try:
+        return lattice_closure(hydras, [(x, ticks.fraction(t)) for t in times])
+    except ClosureCapExceeded as exc:
+        where = x.vertex if x.vertex is not None else f"{x.edge}@{x.offset}"
+        raise ClosureCapExceeded(f"family closure seeded at {where}: {exc}") from None
 
 
 def determination_set(hydras: Sequence[Hydra], x: Position) -> DeterminationSet:
-    times = union_times_at(hydras, x)
-    if not times:
-        raise PartitionDefect(f"{x} is not reached by the hydras")
-    closure = lattice_closure(hydras, [(x, t) for t in times])
-    lam = sorted({p for p, _ in closure}, key=Position.sort_key)
-    xi = sorted({t for _, t in closure})
-    return DeterminationSet(x, tuple(lam), tuple(xi))
+    check_same_stage(hydras)
+    ticks = _Ticks(hydras, (x.offset,))
+    closure = _family_closure(hydras, ticks, ticks.key(x))
+    ticks = closure.ticks
+    lam = sorted(closure.positions, key=ticks.sort_key)
+    return DeterminationSet(x, tuple(map(ticks.position, lam)), tuple(sorted({t for _, t in closure})))
 
 
 def corner_points(hydras: Sequence[Hydra]) -> set[SpaceTimePoint]:
     """Vertex-projecting hydra points, horizon-slice points and crossings."""
     check_same_stage(hydras)
-    g, T = hydras[0].graph, hydras[0].horizon
-    corners: set[SpaceTimePoint] = set()
-    for h in hydras:
-        for s in h.segments:
-            for t, off in ((s.t0, s.off0), (s.t1, s.off1)):
-                p = g.position(s.edge, off)
-                if p.vertex is not None or t == T:
-                    corners.add((p, t))
-    corners |= self_intersections(hydras)
-    return corners
+    ticks = _Ticks(hydras)
+    corners = ticks.crossings()
+    for ei, row in enumerate(ticks.rows):
+        for t0, t1, off0, d in row:
+            for t, off in ((t0, off0), (t1, off0 + d * (t1 - t0))):
+                k = ticks.key_on(ei, off)
+                if k < 0 or t == ticks.horizon:
+                    corners.add((k, t))
+    return {(ticks.position(k), ticks.fraction(t)) for k, t in corners}
 
 
 def critical_points(hydras: Sequence[Hydra]) -> tuple[Position, ...]:
-    closure = lattice_closure(hydras, corner_points(hydras))
-    return tuple(sorted({p for p, _ in closure}, key=Position.sort_key))
+    try:
+        closure = lattice_closure(hydras, corner_points(hydras))
+    except ClosureCapExceeded as exc:
+        raise ClosureCapExceeded(f"critical-point closure: {exc}") from None
+    ticks = closure.ticks
+    return tuple(map(ticks.position, sorted(closure.positions, key=ticks.sort_key)))
 
 
 def build_partition(hydras: Sequence[Hydra]) -> Partition:
-    """Decompose the closed filled region into critical points and families."""
+    """Decompose the closed filled region into critical points and families.
+
+    Runs on the hydras' integer ticks; cells, epsilons and taus are made
+    Fractions at the end.
+    """
     check_same_stage(hydras)
     g, T = hydras[0].graph, hydras[0].horizon
     sigma = tuple(sorted(h.source for h in hydras))
     sources = [g.vertex_position(h.source) for h in hydras]
 
     critical = critical_points(hydras)
-    crit_offsets: dict[str, set[Fraction]] = {e.id: set() for e in g.edges}
-    for p in critical:
-        if p.vertex is None:
-            crit_offsets[p.edge].add(p.offset)
-        else:
-            for ei, end in g.incidence(p.vertex):
-                e = g.edges[ei]
-                crit_offsets[e.id].add(g.end_offset(e, end))
+    ticks = _Ticks(hydras)
+    crit_keys = set(map(ticks.key, critical))
+    crit_offsets: list[set[int]] = [set() for _ in g.edges]
+    for k in crit_keys:
+        for ei, off in ticks.slots(k):
+            crit_offsets[ei].add(off)
 
-    # raw cells: maximal open intervals of covered-minus-critical, per edge
+    # raw cells: maximal open intervals of covered-minus-critical, per edge,
+    # as (edge index, lo, hi) in ticks, ascending
     covered = covered_intervals(g, sources, T)
-    raw: list[tuple[str, Fraction, Fraction]] = []
-    for e in g.edges:
+    raw: list[tuple[int, int, int]] = []
+    for ei, e in enumerate(g.edges):
         for lo, hi in covered.get(e.id, []):
-            if lo == hi:
-                if g.position(e.id, lo) not in critical:
+            a, b = ticks.tick(lo), ticks.tick(hi)
+            if a == b:
+                if ticks.key_on(ei, a) not in crit_keys:
                     raise PartitionDefect(
                         f"isolated covered point {e.id}@{lo} is not critical")
                 continue
-            cuts = sorted({lo, hi} | {o for o in crit_offsets[e.id] if lo <= o <= hi})
-            if cuts[0] != lo or cuts[-1] != hi:
-                raise PartitionDefect(f"covered interval ends on {e.id} not critical")
-            for a, b in zip(cuts, cuts[1:]):
-                raw.append((e.id, a, b))
-    raw.sort(key=lambda c: (g.edge_pos(c[0]), c[1]))
-    # per edge: the raw indices of its cells, and their starts (ascending)
-    edge_cells: dict[str, list[int]] = {}
-    for idx, (eid, _, _) in enumerate(raw):
-        edge_cells.setdefault(eid, []).append(idx)
-    edge_starts = {eid: [raw[k][1] for k in ks] for eid, ks in edge_cells.items()}
+            cuts = sorted({a, b} | {o for o in crit_offsets[ei] if a <= o <= b})
+            raw += [(ei, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    raw.sort()
+    starts = [(ei, lo) for ei, lo, _ in raw]
 
-    def cell_of(pos: Position) -> int:
-        if pos.vertex is not None:
-            raise PartitionDefect(f"determination set hit critical point {pos}")
+    def cell_of(key: int) -> int:
+        if key < 0:
+            raise PartitionDefect(f"determination set hit critical point {ticks.position(key)}")
+        ((ei, off),) = ticks.slots(key)
         # cells on one edge are disjoint, so only the last one starting at or
         # below the offset can contain it
-        j = bisect_right(edge_starts.get(pos.edge, ()), pos.offset) - 1
-        if j >= 0:
-            idx = edge_cells[pos.edge][j]
-            if raw[idx][1] < pos.offset < raw[idx][2]:
-                return idx
-        raise PartitionDefect(f"position {pos} not inside any cell")
+        j = bisect_right(starts, (ei, off)) - 1
+        if j >= 0 and raw[j][0] == ei and raw[j][1] < off < raw[j][2]:
+            return j
+        raise PartitionDefect(f"position {ticks.position(key)} not inside any cell")
 
     assigned: set[int] = set()  # raw cell indices already in a family
     families: list[Family] = []
-    for start_idx, (eid, lo, hi) in enumerate(raw):
+    for start_idx, (ei, lo, hi) in enumerate(raw):
         if start_idx in assigned:
             continue
-        eps = hi - lo
-        x = g.position(eid, lo + eps / 2)
-        mid = determination_set(hydras, x)
+        eps = hi - lo  # even: cells end on half ticks of the segment grid
+        x = ticks.key_on(ei, lo + eps // 2)
+        # the midpoint seeds are whole ticks, so the closure's keys are on this
+        # scale; it keeps only its positions (its memory grows with them, not
+        # with the points), so their directions are read off here
+        hits = {k: ticks.times_at(k) for k in _family_closure(hydras, ticks, x).positions}
 
         # orientations: along the characteristic through a closure point (p, t),
         # dt/dr = direction * d(offset)/dr.  The seed cell runs forward; a walk
-        # over the pairs signs every position (its cell) and time (its time cell).
-        links: dict = {}  # closure position or time -> [(time or position, direction)]
-        for p in mid.lam:
-            for h in hydras:
-                for s in h.segments_on(p.edge):
-                    t = s.time_at_offset(p.offset)
-                    if t is not None:
-                        links.setdefault(p, []).append((t, s.direction))
-                        links.setdefault(t, []).append((p, s.direction))
-        sign, stack = {x: 1}, [x]
-        while stack:
-            u = stack.pop()
-            for v, d in links[u]:
-                if v not in sign:
-                    stack.append(v)
-                if sign.setdefault(v, d * sign[u]) != d * sign[u]:
+        # over the hits signs every position (its cell) and time (its time cell).
+        at_time: dict[int, list[tuple[int, int]]] = {}
+        for k, h in hits.items():
+            if k >= 0:
+                for t, d in h.items():
+                    at_time.setdefault(t, []).append((k, d))
+        psign, tsign = {x: 1}, {}
+        walk = [x]
+        for k in walk:
+            for t, d in hits[k].items():
+                if t not in tsign:
+                    tsign[t] = d * psign[k]
+                    for k2, d2 in at_time[t]:
+                        if k2 not in psign:
+                            psign[k2] = d2 * tsign[t]
+                            walk.append(k2)
+                if not d or d * psign[k] != tsign[t]:
                     raise PartitionDefect("cell and time-cell orientations disagree")
 
-        mid_of: dict[int, Position] = {}  # member raw index -> its closure point
-        for p in mid.lam:
-            k = cell_of(p)
-            if k in assigned:
+        mid_of: dict[int, int] = {}  # member raw index -> its closure position
+        for k in hits:
+            j = cell_of(k)
+            if j in assigned:
                 raise PartitionDefect("cell already assigned to another family")
-            mid_of[k] = p
-        if len(mid_of) != len(mid.lam):
+            mid_of[j] = k
+        if len(mid_of) != len(hits):
             raise PartitionDefect("determination set has two points in one cell")
-        cells = [Cell(*raw[k], sign[mid_of[k]] > 0) for k in sorted(mid_of)]
-        if any(c.length != eps for c in cells):
+        if any(raw[j][2] - raw[j][1] != eps for j in mid_of):
             raise PartitionDefect("cells of unequal length within a family")
+        cells = [Cell(g.edges[raw[j][0]].id, ticks.fraction(raw[j][1]),
+                      ticks.fraction(raw[j][2]), psign[mid_of[j]] > 0)
+                 for j in sorted(mid_of)]
 
         # time cells: midpoint xi values are exactly the time-cell midpoints
-        tcells = [(t - eps / 2, t + eps / 2) for t in mid.xi]
-        if tcells and (tcells[0][0] < 0 or tcells[-1][1] > T):
+        half = eps // 2
+        xi = sorted(tsign)
+        if xi and (xi[0] - half < 0 or xi[-1] + half > ticks.horizon):
             raise PartitionDefect("time cell outside [0, horizon]")
-        for (_, end), (start, _) in zip(tcells, tcells[1:]):
-            if end > start:
+        for a, b in zip(xi, xi[1:]):
+            if a + half > b - half:
                 raise PartitionDefect("overlapping time cells in one family")
-        taus = [LinearTimeFn(t - eps / 2, 1, eps) if sign[t] > 0
-                else LinearTimeFn(t + eps / 2, -1, eps) for t in mid.xi]
+        epsilon = ticks.fraction(eps)
+        taus = [LinearTimeFn(ticks.fraction(t - half), 1, epsilon) if tsign[t] > 0
+                else LinearTimeFn(ticks.fraction(t + half), -1, epsilon) for t in xi]
 
-        families.append(Family(len(families), tuple(cells), eps, tuple(taus)))
+        families.append(Family(len(families), tuple(cells), epsilon, tuple(taus)))
         assigned.update(mid_of)
 
     if len(assigned) != len(raw):

@@ -10,6 +10,7 @@ which case an explicit orthogonal witness intertwines them.
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -150,6 +151,33 @@ def irreducible_reduction(vectors, tol: float = DEFAULT_TOL) -> np.ndarray:
     return gram_schmidt(_unit_rows(vectors), tol).nonzero_matrix().T
 
 
+_STRIP = 16
+"""Rows per strip in word_span_dim's row norms and rank-one updates: the
+results equal the whole-stack operations bit for bit, without a temporary
+the size of the stack."""
+
+
+def _mapped(rows: int, cols: int) -> np.ndarray:
+    """An uninitialized float array in its own anonymous memory mapping.
+
+    Pages are taken as they are written and all go back to the system when
+    the array goes.  word_span_dim keeps its stacks and basis (up to kappa^4
+    floats) out of malloc this way: glibc raises its mmap threshold to the
+    size of a freed block of up to 32 MiB, and the heap then keeps as much
+    as twice that for the rest of the process.
+    """
+    return np.frombuffer(mmap.mmap(-1, max(8, rows * cols * 8)),
+                         dtype=float, count=rows * cols).reshape(rows, cols)
+
+
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(a, axis=1), one strip of rows at a time."""
+    out = np.empty(len(a))
+    for i in range(0, len(a), _STRIP):
+        out[i:i + _STRIP] = np.linalg.norm(a[i:i + _STRIP], axis=1)
+    return out
+
+
 def word_span_dim(mats: Sequence[np.ndarray], tol: float = DEFAULT_TOL) -> int:
     """Dimension of the span of all nonempty words in the given matrices.
 
@@ -164,41 +192,58 @@ def word_span_dim(mats: Sequence[np.ndarray], tol: float = DEFAULT_TOL) -> int:
     that roundoff reaches later residuals (1.8e-9 on a summand whose
     smallest genuine residual was 1.6e-7), so a pick needs 10 * tol.
     """
-    gens = [np.asarray(m, float) for m in mats]
-    if not gens:
+    mats = [np.asarray(m, float) for m in mats]
+    if not mats:
         return 0
-    dim = gens[0].shape[0]
+    dim = mats[0].shape[0]
     cap = dim * dim
-    gens = [g / nm for g in gens if (nm := float(np.linalg.norm(g))) > tol]
-    basis = np.empty((cap, cap))  # rows < rank span; unwritten rows stay unpaged
+    # the generators g / |g|, divided out where they are used, not held as copies
+    gens = [(m, nm) for m in mats if (nm := float(np.linalg.norm(m))) > tol]
+    basis = _mapped(cap, cap)
     rank = 0
 
-    def absorb(words: np.ndarray) -> np.ndarray:
-        """Add the new directions of a stack of words; return the words that did."""
+    def absorb(stack: np.ndarray, word) -> np.ndarray:
+        """Add the new directions of a stack of words; return the words that did.
+
+        The stack, a temporary, becomes the residuals; word(i) rebuilds its
+        i-th row as it was passed, so no second copy of the stack is held.
+        """
         nonlocal rank
-        words = words.reshape(len(words), cap)
-        norms = np.linalg.norm(words, axis=1)
-        keep = (norms > tol) & (rank < cap)  # a full span takes nothing
-        words = words[keep] / norms[keep, None]
-        res = words
-        for _ in range(2):  # re-orthogonalize: one pass alone drifts
-            res = res - (res @ basis[:rank].T) @ basis[:rank]
+        res = stack.reshape(len(stack), cap)
+        norms = _row_norms(res)
+        kept = np.flatnonzero((norms > tol) & (rank < cap))  # a full span takes nothing
+        if len(kept) < len(res):
+            res, norms = res[kept], norms[kept]
+        res /= norms[:, None]
+        for _ in range(2 if rank else 0):  # re-orthogonalize: one pass alone drifts
+            res -= (res @ basis[:rank].T) @ basis[:rank]
         picked = []
         while len(res) and rank < cap:
-            sizes = np.linalg.norm(res, axis=1)
+            sizes = _row_norms(res)
             p = int(np.argmax(sizes))
             if sizes[p] <= 10 * tol:
                 break
             q = res[p] - (basis[:rank] @ res[p]) @ basis[:rank]
             q /= np.linalg.norm(q)
-            res = res - np.outer(res @ q, q)
+            c = res @ q
+            for i in range(0, len(res), _STRIP):
+                res[i:i + _STRIP] -= np.outer(c[i:i + _STRIP], q)
             basis[rank] = q
             rank += 1
             picked.append(p)
-        return words[picked]
+        return np.array([word(kept[p]) / norms[p] for p in picked]).reshape(len(picked), cap)
 
-    layer = absorb(np.array(gens))
+    first = _mapped(len(gens), cap)
+    for out, (m, nm) in zip(first, gens):
+        np.divide(m, nm, out=out.reshape(dim, dim))
+    layer = absorb(first, lambda i: np.divide(*gens[i]).ravel())
     while len(layer) and rank < cap:
         words = layer.reshape(-1, dim, dim)
-        layer = np.vstack([absorb(g @ words) for g in gens])
+        products, stack = _mapped(len(words), cap), _mapped(len(words), cap)
+        found = []
+        for m, nm in gens:
+            np.matmul(m / nm, words, out=products.reshape(-1, dim, dim))
+            np.copyto(stack, products)
+            found.append(absorb(stack, lambda i: products[i]))
+        layer = np.vstack(found)
     return rank

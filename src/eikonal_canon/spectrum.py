@@ -63,7 +63,9 @@ def _commutant_basis(gens: Sequence[np.ndarray], tol: float) -> list[np.ndarray]
         rows = stack[i * n2:(i + 1) * n2]
         np.subtract(np.kron(eye, g), np.kron(g.T, eye), out=rows)
         rows /= max(1.0, float(np.linalg.norm(g)))
-    _, s, vt = np.linalg.svd(stack, full_matrices=False)
+    # R of the stack's QR has its singular values and right vectors, and the
+    # stack's thin U is never formed
+    _, s, vt = np.linalg.svd(np.linalg.qr(stack, mode="r"), full_matrices=False)
     if s.size == 0 or s[0] == 0:
         rank = 0
     else:

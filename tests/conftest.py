@@ -132,6 +132,46 @@ def reference_amplitude_at(h, pos, t) -> Fraction:
     return total
 
 
+def reference_times_at(hydras, pos) -> list[Fraction]:
+    """Times of a position on the hydra union, by a Fraction scan of every
+    segment: the reference for the integer-tick index."""
+    g = hydras[0].graph
+    if pos.vertex is None:
+        slots = [(pos.edge, pos.offset)]
+    else:
+        slots = [(g.edges[ei].id, g.end_offset(g.edges[ei], end))
+                 for ei, end in g.incidence(pos.vertex)]
+    found = set()
+    for h in hydras:
+        for s in h.segments:
+            for edge, offset in slots:
+                if s.edge == edge and (t := s.time_at_offset(offset)) is not None:
+                    found.add(t)
+    return sorted(found)
+
+
+def reference_positions_at(hydras, t) -> list:
+    """Positions of the hydra union's time slice, by a Fraction scan of every segment."""
+    t = Fraction(t)
+    found = {h.graph.position(s.edge, s.offset_at(t))
+             for h in hydras for s in h.segments if s.t0 <= t <= s.t1}
+    return sorted(found, key=lambda p: p.sort_key())
+
+
+def reference_lattice_closure(hydras, seeds) -> set:
+    """The lattice closure by alternating Fraction scans until nothing is new."""
+    current = {(p, Fraction(t)) for p, t in seeds}
+    frontier = set(current)
+    while frontier:
+        new = set()
+        for p, t in frontier:
+            new.update((p, tt) for tt in reference_times_at(hydras, p))
+            new.update((pp, t) for pp in reference_positions_at(hydras, t))
+        frontier = new - current
+        current |= frontier
+    return current
+
+
 def probe_positions(g, hydras) -> list:
     """Every vertex, every hydra segment endpoint and every edge midpoint."""
     found = {g.vertex_position(v) for v in g.vertices}

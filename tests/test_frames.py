@@ -121,8 +121,9 @@ class TestFamilyFrames:
         va, vb = fa.vectors[0], fb.vectors[0]
         assert sorted([abs(va[0]), abs(va[1])]) == [0.0, 1.0]
         assert np.allclose(np.abs(va) + np.abs(vb), [1.0, 1.0])
-        assert fa.support.sum() == 1 and fb.support.sum() == 1
-        assert not np.any(fa.support & fb.support)
+        sa, sb = fa.vectors.any(axis=0), fb.vectors.any(axis=0)
+        assert sa.sum() == 1 and sb.sum() == 1
+        assert not np.any(sa & sb)
 
     def test_far_sources_still_share_one_family(self, star123):
         # waves from g1 and g3 stay far apart at T=1/2, yet the shared times
@@ -137,7 +138,7 @@ class TestFamilyFrames:
         frames = family_frames(part, [hg1, hg3])
         f1, f3 = frames[(fam.index, "g1")], frames[(fam.index, "g3")]
         assert f1.nonzero == (0,) and f3.nonzero == (0,)
-        assert not np.any(f1.support & f3.support)
+        assert not np.any(f1.vectors.any(axis=0) & f3.vectors.any(axis=0))
         assert np.allclose(np.abs(f1.vectors[0]) + np.abs(f3.vectors[0]), 1.0)
 
     def test_orthonormality_randomized(self):

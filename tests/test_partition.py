@@ -7,9 +7,11 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eikonal_canon import (
     build_partition,
+    self_intersections,
     critical_points,
     determination_set,
     lattice_closure,
@@ -19,7 +21,8 @@ from eikonal_canon import (
 from eikonal_canon import partition
 from eikonal_canon.errors import PartitionDefect
 from eikonal_canon.impulse import Hydra
-from conftest import bump, random_admissible_graph
+from conftest import (bump, random_admissible_graph, reference_lattice_closure,
+                      reference_positions_at, reference_times_at)
 
 F = Fraction
 
@@ -89,6 +92,53 @@ class TestDeterminationSet:
         b = determination_set([star_hydra], star3.position("e1", F(4, 5)))
         assert len(a.xi) == len(b.xi)
         assert not set(a.xi) & set(b.xi)
+
+
+class TestTicksAgainstReference:
+    """The integer-tick queries and closures against Fraction scans of every segment."""
+
+    def test_off_grid_seed_on_the_unit_star(self, star3, star_hydra):
+        x = star3.position("e1", F(2, 3))  # 2/3 is on no grid of the lengths and T
+        assert star_hydra.times_at(x) == reference_times_at([star_hydra], x) == [F(2, 3), F(4, 3)]
+        seeds = [(x, F(2, 3))]
+        assert lattice_closure([star_hydra], seeds) == reference_lattice_closure([star_hydra], seeds)
+
+    def test_half_tick_crossing_and_quarter_tick_midpoint(self, interval):
+        # lengths and T have denominator 1: the waves cross at (1/2, 1/2), a
+        # half tick, and the cell (0, 1/2) has its midpoint at a quarter tick
+        ha, hb = propagate(interval, "a", 1), propagate(interval, "b", 1)
+        crossing = (interval.position("e0", F(1, 2)), F(1, 2))
+        mid = interval.position("e0", F(1, 4))
+        for seeds in ([crossing], [(mid, t) for t in reference_times_at([ha, hb], mid)]):
+            assert lattice_closure([ha, hb], seeds) == reference_lattice_closure([ha, hb], seeds)
+        assert mid in determination_set([ha, hb], mid).lam
+
+    @given(st.integers(min_value=0, max_value=10 ** 6), st.integers(min_value=1, max_value=2),
+           st.fractions(min_value=F(1, 4), max_value=F(3, 2), max_denominator=4),
+           st.fractions(min_value=F(1, 7), max_value=F(6, 7), max_denominator=7))
+    @settings(max_examples=40, deadline=None)
+    def test_mixed_denominators(self, seed, n_sources, T, frac):
+        rng = random.Random(seed)
+        g = random_admissible_graph(rng, common_denominator=False)
+        hydras = [propagate(g, gamma, T) for gamma in sorted(g.boundary)[:n_sources]]
+        e = g.edges[rng.randrange(len(g.edges))]
+        vertex = g.vertex_position(sorted(g.boundary)[0])
+        off_grid = g.position(e.id, e.length * frac)
+        for h in hydras:
+            for x in (vertex, off_grid):
+                assert h.times_at(x) == reference_times_at([h], x)
+            for t in {T, T * frac, F(0)} | {s.t0 for s in h.segments}:
+                assert h.positions_at(t) == reference_positions_at([h], t)
+        seed_sets = [[(x, t) for t in reference_times_at(hydras, x)] for x in (vertex, off_grid)]
+        seed_sets += [[p] for p in sorted(self_intersections(hydras), key=str)[:2]]
+        seed_sets.append(sorted(partition.corner_points(hydras), key=str))
+        part = build_partition(hydras)
+        for fam in part.families[:2]:
+            mid = fam.lambda_at(g, fam.epsilon / 2)[0]  # a quarter tick when cells end on half ticks
+            seed_sets.append([(mid, t) for t in reference_times_at(hydras, mid)])
+        for seeds in seed_sets:
+            if seeds:
+                assert lattice_closure(hydras, seeds) == reference_lattice_closure(hydras, seeds)
 
 
 class TestCriticalPoints:
@@ -255,10 +305,11 @@ class TestBuildPartition:
             abs(wave_eval([star_hydra], controls, x, T)) < 1e-15 for x in outside
         )
 
-    def test_incommensurate_cycle_hits_closure_cap(self):
+    def test_incommensurate_cycle_hits_closure_cap(self, monkeypatch):
         # mixed-denominator cycle lengths make reflections compose into
         # translations on an lcm-fine grid; the closure is finite but huge,
-        # and the cap turns it into a diagnosable error
+        # and the cap turns it into a diagnosable error that names the
+        # stage, how far the closure got and the cap
         from eikonal_canon import MetricGraph
         from eikonal_canon.errors import ClosureCapExceeded
         from eikonal_canon.partition import corner_points
@@ -275,8 +326,21 @@ class TestBuildPartition:
             boundary=["b0", "b1", "b2"],
         )
         h = propagate(g, "b0", F(111, 32))
-        with pytest.raises(ClosureCapExceeded):
+        reached = r"reached \d+ points on \d+ positions and \d+ times$"
+        with pytest.raises(ClosureCapExceeded,
+                           match=r"^lattice closure exceeded its cap of 2000 points: " + reached):
             lattice_closure([h], corner_points([h]), cap=2000)
+        real = partition.lattice_closure
+        monkeypatch.setattr(partition, "lattice_closure",
+                            lambda hydras, seeds: real(hydras, seeds, cap=2000))
+        with pytest.raises(ClosureCapExceeded,
+                           match=r"^critical-point closure: lattice closure exceeded its cap "
+                                 r"of 2000 points: " + reached):
+            build_partition([h])
+        with pytest.raises(ClosureCapExceeded,
+                           match=r"^family closure seeded at e0@3/5: lattice closure exceeded "
+                                 r"its cap of 2000 points: " + reached):
+            determination_set([h], g.position("e0", F(3, 5)))
 
     def test_randomized_partitions_are_consistent(self):
         # 8 common-denominator graphs, then 16 mixed-denominator ones at T up
