@@ -29,13 +29,10 @@ class AlphaSet:
     positions: tuple[Position, ...]
     times: tuple[Fraction, ...]
     matrix: tuple[tuple[Fraction, ...], ...]
-    # (row, column, amplitude) of each amplitude `alpha_set` read
-    _entries: tuple[tuple[int, int, Fraction], ...] | None = field(
-        default=None, repr=False, compare=False)
+    # (row, column, amplitude) of each entry read off the hydra; the rest are zero
+    _entries: tuple[tuple[int, int, Fraction], ...] = field(repr=False, compare=False)
 
     def as_float(self) -> np.ndarray:
-        if self._entries is None:
-            return np.array(self.matrix, dtype=float).reshape(len(self.times), len(self.positions))
         out = np.zeros((len(self.times), len(self.positions)))
         for i, j, a in self._entries:
             out[i, j] = a
@@ -71,19 +68,18 @@ def alpha_set(hydra: Hydra, positions: Sequence[Position],
     """Exact amplitudes of one hydra at the grid positions x times."""
     times = tuple(sorted(Fraction(t) for t in times))
     positions = tuple(positions)
-    row_of = {t: i for i, t in enumerate(times)}
+    rows_of: dict[Fraction, list[int]] = {}
+    for i, t in enumerate(times):
+        rows_of.setdefault(t, []).append(i)
     rows = [[ZERO] * len(positions) for _ in times]
     entries = []
     for j, x in enumerate(positions):
         for t, a in hydra.amplitudes_at(x).items():
-            i = row_of.get(t)
-            if i is not None:
+            for i in rows_of.get(t, ()):
                 rows[i][j] = a
                 entries.append((i, j, a))
     for i, row in enumerate(rows):
         rows[i] = tuple(row)  # one row at a time, so the lists go as the tuples come
-    if len(row_of) < len(times):  # a repeated time reads the row filled under its last index
-        return AlphaSet(positions, times, tuple(rows[row_of[t]] for t in times))
     return AlphaSet(positions, times, tuple(rows), tuple(entries))
 
 

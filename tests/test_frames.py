@@ -38,6 +38,13 @@ class TestAlphaSet:
             (F(-1, 3), F(2, 3), F(2, 3)),
         )
 
+    def test_repeated_time_repeats_its_row(self, star3):
+        h = propagate(star3, "g1", F(3, 2))
+        lam = [star3.position("e1", F(3, 4)), star3.position("e2", F(1, 4))]
+        a = alpha_set(h, lam, [F(5, 4), F(3, 4), F(5, 4)])
+        assert a.matrix == ((F(1), F(0)), (F(-1, 3), F(2, 3)), (F(-1, 3), F(2, 3)))
+        assert np.array_equal(a.as_float(), np.array(a.matrix, dtype=float))
+
     def test_off_hydra_zero_entries(self, star3):
         h = propagate(star3, "g1", F(3, 2))
         a = alpha_set(h, [star3.position("e2", F(1, 4))], [F(3, 4)])
@@ -57,8 +64,10 @@ class TestAlphaSet:
         positions = probe_positions(g, hydras)
         for h in hydras:
             times = {t for x in positions for t in h.times_at(x)} | {T / 3}
-            assert alpha_set(h, positions, times).matrix == \
-                self.reference(h, positions, times)
+            a = alpha_set(h, positions, times)
+            assert a.matrix == self.reference(h, positions, times)
+            assert np.array_equal(a.as_float(), np.array(a.matrix, dtype=float)
+                                  .reshape(len(a.times), len(a.positions)))
 
     def test_family_grids_match_reference(self, star123):
         hydras = [propagate(star123, gamma, F(3)) for gamma in ("g1", "g3")]
