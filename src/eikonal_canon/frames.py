@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import FrameError, InvariantViolation
 from .impulse import Hydra
-from .metric_graph import ZERO, Position, eccentricity
+from .metric_graph import Position, eccentricity
 from .partition import Partition
 
 DEFAULT_TOL = 1e-9
@@ -24,17 +24,19 @@ DEFAULT_TOL = 1e-9
 
 @dataclass(frozen=True)
 class AlphaSet:
-    """Rows = passage times (ascending), columns = determination-set points."""
+    """Rows = passage times (ascending), columns = determination-set points.
+
+    The matrix is sparse: `entries` maps (row, column) to each nonzero
+    amplitude; every other entry is zero.
+    """
 
     positions: tuple[Position, ...]
     times: tuple[Fraction, ...]
-    matrix: tuple[tuple[Fraction, ...], ...]
-    # (row, column, amplitude) of each entry read off the hydra; the rest are zero
-    _entries: tuple[tuple[int, int, Fraction], ...] = field(repr=False, compare=False)
+    entries: dict[tuple[int, int], Fraction] = field(repr=False)
 
     def as_float(self) -> np.ndarray:
         out = np.zeros((len(self.times), len(self.positions)))
-        for i, j, a in self._entries:
+        for (i, j), a in self.entries.items():
             out[i, j] = a
         return out
 
@@ -68,19 +70,17 @@ def alpha_set(hydra: Hydra, positions: Sequence[Position],
     """Exact amplitudes of one hydra at the grid positions x times."""
     times = tuple(sorted(Fraction(t) for t in times))
     positions = tuple(positions)
-    rows_of: dict[Fraction, list[int]] = {}
+    ticks = hydra.tick_index([x.offset for x in positions] + list(times))
+    rows_of: dict[int, list[int]] = {}
     for i, t in enumerate(times):
-        rows_of.setdefault(t, []).append(i)
-    rows = [[ZERO] * len(positions) for _ in times]
-    entries = []
+        rows_of.setdefault(ticks.tick(t), []).append(i)
+    entries = {}
     for j, x in enumerate(positions):
-        for t, a in hydra.amplitudes_at(x).items():
-            for i in rows_of.get(t, ()):
-                rows[i][j] = a
-                entries.append((i, j, a))
-    for i, row in enumerate(rows):
-        rows[i] = tuple(row)  # one row at a time, so the lists go as the tuples come
-    return AlphaSet(positions, times, tuple(rows), tuple(entries))
+        for t, a in hydra.tick_amplitudes(ticks, ticks.key(x)).items():
+            if a:
+                for i in rows_of.get(t, ()):
+                    entries[i, j] = a
+    return AlphaSet(positions, times, entries)
 
 
 def gram_schmidt(a: np.ndarray, tol: float = DEFAULT_TOL) -> BetaFrame:
@@ -134,7 +134,9 @@ def family_frames(partition: Partition, hydras: Sequence[Hydra],
             h = by_source[gamma]
             a1 = alpha_set(h, lam1, xi1)
             a2 = alpha_set(h, lam2, xi2)
-            if a1.matrix != a2.matrix:
+            # the two samples have the same shape (a point per cell, a time per
+            # time cell), so equal nonzero entries mean equal matrices
+            if a1.entries != a2.entries:
                 raise FrameError(
                     f"amplitudes not constant across cells of family {fam.index}")
             frame = gram_schmidt(a1.as_float(), tol)

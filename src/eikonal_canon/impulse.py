@@ -16,7 +16,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 from .errors import EventCapExceeded, InvalidGraphError
 from .metric_graph import MetricGraph, Position, ZERO
@@ -37,12 +37,6 @@ class HydraSegment:
 
     def offset_at(self, t: Fraction) -> Fraction:
         return self.off0 + self.direction * (t - self.t0)
-
-    def time_at_offset(self, offset: Fraction) -> Fraction | None:
-        t = self.t0 + self.direction * (offset - self.off0)
-        if self.t0 <= t <= self.t1:
-            return t
-        return None
 
     @property
     def off1(self) -> Fraction:
@@ -67,28 +61,42 @@ class Hydra:
         self.horizon = horizon
         self.segments = tuple(segments)
         self.events = tuple(events)
-        by_edge: dict[str, list[HydraSegment]] = {}
-        for s in self.segments:
-            by_edge.setdefault(s.edge, []).append(s)
-        self._by_edge = by_edge
+        self._grid_scale = 0  # both made on the first query: propagate builds no index
+        self._indexes: dict[int, _Ticks] = {}
 
-    def segments_on(self, edge_id: str) -> Sequence[HydraSegment]:
-        return self._by_edge.get(edge_id, ())
+    def grid_scale(self) -> int:
+        """4 * the common denominator of the edge lengths, the horizon and the
+        segment ends: the coarsest tick scale of the hydra's indexes."""
+        if not self._grid_scale:
+            dens = {e.length.denominator for e in self.graph.edges}
+            dens.add(self.horizon.denominator)
+            for s in self.segments:
+                dens.update((s.t0.denominator, s.t1.denominator, s.off0.denominator))
+            self._grid_scale = 4 * math.lcm(*dens)
+        return self._grid_scale
+
+    def tick_index(self, values: Collection[Fraction] = ()) -> _Ticks:
+        """The hydra's segments on a tick grid holding `values`, cached by scale."""
+        scale = math.lcm(self.grid_scale(), *{v.denominator for v in values})
+        index = self._indexes.get(scale)
+        if index is None:
+            index = self._indexes[scale] = _Ticks((self,), values)
+        return index
 
     def times_at(self, pos: Position) -> list[Fraction]:
         """Sorted times t with (pos, t) on the hydra."""
-        ticks = _Ticks((self,), (pos.offset,))
+        ticks = self.tick_index((pos.offset,))
         return [ticks.fraction(t) for t in sorted(ticks.times_at(ticks.key(pos)))]
 
     def positions_at(self, t) -> list[Position]:
         """Positions of the hydra's time slice, canonical and sorted."""
         t = Fraction(t)
-        ticks = _Ticks((self,), (t,))
+        ticks = self.tick_index((t,))
         keys = sorted(set(ticks.positions_at(ticks.tick(t))), key=ticks.sort_key)
         return [ticks.position(k) for k in keys]
 
     def amplitudes_at(self, pos: Position) -> dict[Fraction, Fraction]:
-        """Amplitude at every passage time of a position, in one segment scan.
+        """Amplitude at every passage time of a position.
 
         Conventions: 1 at the source (gamma, 0); 0 at boundary vertices for
         t > 0; at interior-vertex events the value is the continuity limit
@@ -97,25 +105,20 @@ class Hydra:
         carry amplitude 0; a listed amplitude may be 0 where contributions
         cancel.
         """
+        ticks = self.tick_index((pos.offset,))
+        return {ticks.fraction(t): a
+                for t, a in self.tick_amplitudes(ticks, ticks.key(pos)).items()}
+
+    def tick_amplitudes(self, ticks: _Ticks, key: int) -> dict[int, Fraction]:
+        """amplitudes_at on an index of this hydra: {time tick: amplitude} of a key."""
+        if key >= 0:
+            return ticks.amplitudes_at(key)
         g = self.graph
-        amps: dict[Fraction, Fraction] = {}
-        if pos.vertex is None:
-            for s in self.segments_on(pos.edge):
-                t = s.time_at_offset(pos.offset)
-                if t is not None:
-                    amps[t] = amps.get(t, ZERO) + s.amplitude
-            return amps
-        v = pos.vertex
+        v = g.vertices[-1 - key]
         if v in g.boundary:
-            return {ZERO: Fraction(1)} if v == self.source else amps
-        for ei, end in g.incidence(v):
-            e = g.edges[ei]
-            off_v = g.end_offset(e, end)
-            for s in self.segments_on(e.id):
-                if s.off1 == off_v:
-                    amps[s.t1] = amps.get(s.t1, ZERO) + s.amplitude
+            return {0: Fraction(1)} if v == self.source else {}
         factor = Fraction(2, g.valence(v))
-        return {t: factor * a for t, a in amps.items()}
+        return {t: factor * a for t, a in ticks.amplitudes_at(key).items()}
 
     def amplitude_at(self, pos: Position, t) -> Fraction:
         """Amplitude carried at a space-time point (0 off the hydra)."""
@@ -208,27 +211,24 @@ def check_same_stage(hydras: Sequence[Hydra]) -> None:
 class _Ticks:
     """The segments of one or more hydras on an integer grid, indexed by edge.
 
-    A tick is 1/scale.  The scale is the lcm of 4 * (the common denominator
-    of the edge lengths, the horizon and the segment ends) with the
-    denominators of `values`: two characteristics cross at half ticks of
-    the segment grid, and the cells between such points have their
-    midpoints at quarter ticks, so every point the partition visits is a
-    whole tick.  A position is an int key: -1 - i for the i-th vertex of
+    A tick is 1/scale.  The scale is the lcm of the hydras' grid scales (4 *
+    the common denominator of the edge lengths, the horizon and the segment
+    ends) with the denominators of `values`: two characteristics cross at
+    half ticks of the segment grid, and the cells between such points have
+    their midpoints at quarter ticks, so every point the partition visits is
+    a whole tick.  A position is an int key: -1 - i for the i-th vertex of
     the graph, offset * E + i for a point inside the i-th of its E edges.
-    Each edge keeps its segments as (t0, t1, off0, direction) tuples sorted
-    by t0, with their starts and longest duration: the times at a position
-    are one scan of its edge's list, the positions at a time one bisect per
-    edge.  Fractions and Positions are made (and cached) only on request.
+    Each edge keeps its segments as (t0, t1, off0, direction, amplitude)
+    tuples sorted by t0, with their starts and longest duration: the times
+    at a position are one scan of its edge's list, the positions at a time
+    one bisect per edge.  Fractions and Positions are made (and cached) only
+    on request.  A hydra caches its own indexes (`Hydra.tick_index`).
     """
 
     def __init__(self, hydras: Sequence[Hydra], values: Iterable = ()):
         g = hydras[0].graph
-        segments = [s for h in hydras for s in h.segments]
-        dens = [e.length.denominator for e in g.edges]
-        dens.append(hydras[0].horizon.denominator)
-        for s in segments:
-            dens += (s.t0.denominator, s.t1.denominator, s.off0.denominator)
-        self.scale = math.lcm(4 * math.lcm(*dens), *(v.denominator for v in values))
+        self.scale = math.lcm(*(h.grid_scale() for h in hydras),
+                              *{v.denominator for v in values})
         self.graph = g
         self.horizon = self.tick(hydras[0].horizon)
         self._n_edges = len(g.edges)
@@ -238,10 +238,12 @@ class _Ticks:
         self._vertex_slots = {
             vkey[v]: [(ei, self._length[ei] if end else 0) for ei, end in g.incidence(v)]
             for v in g.vertices}
-        self.rows: list[list[tuple[int, int, int, int]]] = [[] for _ in g.edges]
-        for s in segments:
-            self.rows[g.edge_pos(s.edge)].append(
-                (self.tick(s.t0), self.tick(s.t1), self.tick(s.off0), s.direction))
+        self.rows: list[list[tuple[int, int, int, int, Fraction]]] = [[] for _ in g.edges]
+        for h in hydras:
+            for s in h.segments:
+                self.rows[g.edge_pos(s.edge)].append(
+                    (self.tick(s.t0), self.tick(s.t1), self.tick(s.off0), s.direction,
+                     s.amplitude))
         for row in self.rows:
             row.sort()
         self._starts = [[s[0] for s in row] for row in self.rows]
@@ -308,10 +310,21 @@ class _Ticks:
         """
         hits: dict[int, int] = {}
         for ei, x in self.slots(key):
-            for t0, t1, off0, d in self.rows[ei]:
+            for t0, t1, off0, d, _ in self.rows[ei]:
                 t = t0 + d * (x - off0)
                 if t0 <= t <= t1:
                     hits[t] = d if hits.get(t, d) == d else 0
+        return hits
+
+    def amplitudes_at(self, key: int) -> dict[int, Fraction]:
+        """{time: summed amplitude} of the characteristics through a position;
+        at a vertex, of those arriving there (t == t1)."""
+        hits: dict[int, Fraction] = {}
+        for ei, x in self.slots(key):
+            for t0, t1, off0, d, a in self.rows[ei]:
+                t = t0 + d * (x - off0)
+                if t0 <= t <= t1 and (key >= 0 or t == t1):
+                    hits[t] = hits[t] + a if t in hits else a
         return hits
 
     def positions_at(self, t: int) -> list[int]:
@@ -320,7 +333,7 @@ class _Ticks:
         for ei, row in enumerate(self.rows):
             starts = self._starts[ei]
             for i in range(bisect_left(starts, t - self._span[ei]), bisect_right(starts, t)):
-                t0, t1, off0, d = row[i]
+                t0, t1, off0, d, _ = row[i]
                 if t <= t1:
                     found.append(self.key_on(ei, off0 + d * (t - t0)))
         return found
@@ -333,8 +346,8 @@ class _Ticks:
         """
         points: set[tuple[int, int]] = set()
         for ei, row in enumerate(self.rows):
-            for i, (a0, a1, a_off, d) in enumerate(row):
-                for b0, b1, b_off, e in row[i + 1:]:
+            for i, (a0, a1, a_off, d, _) in enumerate(row):
+                for b0, b1, b_off, e, _ in row[i + 1:]:
                     if b0 >= a1:
                         break  # this and every later segment starts after a ends
                     if e == d:
@@ -367,9 +380,12 @@ def wave_eval(hydras: Sequence[Hydra], controls: Mapping[str, Callable[[float], 
         phi = controls.get(h.source)
         if phi is None:
             continue
-        amps = h.amplitudes_at(x)
+        ticks = h.tick_index((x.offset, horizon))
+        T, scale = ticks.tick(horizon), ticks.scale
+        amps = h.tick_amplitudes(ticks, ticks.key(x))
         for t in sorted(amps):
             a = amps[t]
             if a:
-                total += float(a) * phi(float(horizon - t))
+                # int / int is correctly rounded, so this is float(horizon - t)
+                total += float(a) * phi((T - t) / scale)
     return total

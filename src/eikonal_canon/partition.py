@@ -234,7 +234,7 @@ def corner_points(hydras: Sequence[Hydra]) -> set[SpaceTimePoint]:
     ticks = _Ticks(hydras)
     corners = ticks.crossings()
     for ei, row in enumerate(ticks.rows):
-        for t0, t1, off0, d in row:
+        for t0, t1, off0, d, _ in row:
             for t, off in ((t0, off0), (t1, off0 + d * (t1 - t0))):
                 k = ticks.key_on(ei, off)
                 if k < 0 or t == ticks.horizon:

@@ -106,9 +106,15 @@ def random_admissible_graph(rng: random.Random, max_edges: int = 6,
     return MetricGraph(edges, boundary=boundary)
 
 
+def reference_time_at_offset(s, offset) -> Fraction | None:
+    """The time a hydra segment passes an offset of its edge, if it does."""
+    t = s.t0 + s.direction * (offset - s.off0)
+    return t if s.t0 <= t <= s.t1 else None
+
+
 def reference_amplitude_at(h, pos, t) -> Fraction:
-    """One (x, t) amplitude by its own segment scan: the per-entry query that
-    `Hydra.amplitudes_at` replaced, kept as the reference for it."""
+    """One (x, t) amplitude by its own Fraction scan of the hydra's segments:
+    the reference for `Hydra.amplitudes_at` and its tick index."""
     t = Fraction(t)
     g = h.graph
     if pos.vertex is not None:
@@ -120,15 +126,31 @@ def reference_amplitude_at(h, pos, t) -> Fraction:
         for ei, end in g.incidence(v):
             e = g.edges[ei]
             off_v = g.end_offset(e, end)
-            for s in h.segments_on(e.id):
-                if s.t1 == t and s.off1 == off_v:
+            for s in h.segments:
+                if s.edge == e.id and s.t1 == t and s.off1 == off_v:
                     incoming += s.amplitude
                     hit = True
         return Fraction(2, g.valence(v)) * incoming if hit else Fraction(0)
     total = Fraction(0)
-    for s in h.segments_on(pos.edge):
-        if s.time_at_offset(pos.offset) == t:
+    for s in h.segments:
+        if s.edge == pos.edge and reference_time_at_offset(s, pos.offset) == t:
             total += s.amplitude
+    return total
+
+
+def reference_wave_eval(hydras, controls, x, horizon) -> float:
+    """wave_eval as one Fraction scan per passage time, summed in ascending
+    time order, hydra by hydra."""
+    horizon = Fraction(horizon)
+    total = 0.0
+    for h in hydras:
+        phi = controls.get(h.source)
+        if phi is None:
+            continue
+        for t in reference_times_at([h], x):
+            a = reference_amplitude_at(h, x, t)
+            if a:
+                total += float(a) * phi(float(horizon - t))
     return total
 
 
@@ -145,7 +167,7 @@ def reference_times_at(hydras, pos) -> list[Fraction]:
     for h in hydras:
         for s in h.segments:
             for edge, offset in slots:
-                if s.edge == edge and (t := s.time_at_offset(offset)) is not None:
+                if s.edge == edge and (t := reference_time_at_offset(s, offset)) is not None:
                     found.add(t)
     return sorted(found)
 
@@ -180,3 +202,10 @@ def probe_positions(g, hydras) -> list:
         for s in h.segments:
             found |= {g.position(s.edge, s.off0), g.position(s.edge, s.off1)}
     return sorted(found, key=lambda p: p.sort_key())
+
+
+def dense(alpha) -> tuple[tuple[Fraction, ...], ...]:
+    """An alpha set's exact matrix, densified from its nonzero entries."""
+    return tuple(tuple(alpha.entries.get((i, j), Fraction(0))
+                       for j in range(len(alpha.positions)))
+                 for i in range(len(alpha.times)))

@@ -10,14 +10,17 @@ import pytest
 from eikonal_canon import (
     ControlSignal,
     GridSpec,
+    MetricGraph,
     compare_snapshots,
     convolution_snapshot,
     fd_wave,
     propagate,
 )
+from eikonal_canon.cli import default_bump
 from eikonal_canon.errors import EikonalError
+from eikonal_canon.fd_oracle import grid_positions
 
-from conftest import bump
+from conftest import bump, reference_wave_eval
 
 F = Fraction
 
@@ -155,3 +158,32 @@ class TestComparisons:
         fd = fd_wave(interval, controls, F(3, 4), grid)
         cv = convolution_snapshot(hydras, controls, F(3, 4), grid)
         assert compare_snapshots(fd, cv) < 1e-12
+
+
+def pendant_triangle(cycle, pendants) -> MetricGraph:
+    edges = [(f"e{i}", (f"v{i}", f"v{(i + 1) % 3}"), F(x)) for i, x in enumerate(cycle)]
+    edges += [(f"e{3 + i}", (f"v{i}", f"b{i}"), F(x)) for i, x in enumerate(pendants)]
+    return MetricGraph(edges, boundary=["b0", "b1", "b2"])
+
+
+# the graphs and sources of the simulate benchmark
+SIMULATE_CASES = [
+    (MetricGraph([("e1", ("c", "g1"), 1), ("e2", ("c", "g2"), 2), ("e3", ("c", "g3"), 3)],
+                 boundary=["g1", "g2", "g3"]), ("g1", "g2")),
+    (pendant_triangle([1, 1, 1], [1, 1, 1]), ("b0", "b1", "b2")),
+    (pendant_triangle([F(6, 5), F(17, 7), F(9, 8)], [F(1, 2), F(5, 2), 3]), ("b0",)),
+]
+
+
+@pytest.mark.parametrize("g, sigma", SIMULATE_CASES)
+def test_convolution_snapshot_matches_reference(g, sigma):
+    T = F(3, 2)
+    hydras = [propagate(g, gamma, T) for gamma in sigma]
+    phi = default_bump(float(T))
+    grid = GridSpec.choose(g, T)
+    cv = convolution_snapshot(hydras, [ControlSignal(gamma, phi) for gamma in sigma], T, grid)
+    controls = {gamma: phi for gamma in sigma}
+    for eid, points in grid_positions(g, grid).items():
+        want = np.array([reference_wave_eval(hydras, controls, p, T) for p in points])
+        assert np.array_equal(cv.values[eid], want)
+    assert np.count_nonzero(cv.flat()) > 100

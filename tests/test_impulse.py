@@ -8,11 +8,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eikonal_canon import MetricGraph, propagate, self_intersections, wave_eval
+from eikonal_canon import (GridSpec, MetricGraph, build_partition, propagate,
+                           self_intersections, wave_eval)
 from eikonal_canon.errors import EventCapExceeded
 from eikonal_canon.impulse import HydraSegment
 
-from conftest import bump, probe_positions, random_admissible_graph, reference_amplitude_at
+from conftest import (bump, probe_positions, random_admissible_graph, reference_amplitude_at,
+                      reference_times_at, reference_wave_eval)
 
 F = Fraction
 
@@ -198,35 +200,69 @@ def random_hydras(draw):
     return g, [propagate(g, gamma, T) for gamma in sorted(sigma)], T
 
 
-def reference_wave_eval(hydras, controls, x, horizon) -> float:
-    """wave_eval as one scan per passage time, the loop amplitudes_at replaced."""
-    horizon = Fraction(horizon)
-    total = 0.0
-    for h in hydras:
-        phi = controls.get(h.source)
-        if phi is None:
-            continue
-        for t in h.times_at(x):
-            a = reference_amplitude_at(h, x, t)
-            if a:
-                total += float(a) * phi(float(horizon - t))
-    return total
+def grid_probes(g, T, stride: int = 17) -> list:
+    """Every stride-th node of GridSpec.choose's grid on each edge, both ends
+    included: offsets with dyadic multiples of the graph's denominators."""
+    h = GridSpec.choose(g, T).h
+    found = []
+    for e in g.edges:
+        n = int(e.length / h)
+        found += [g.position(e.id, h * i) for i in [*range(0, n, stride), n]]
+    return found
+
+
+def family_probes(g, hydras) -> list:
+    """The eps/3 and 2 eps/5 points of every family cell."""
+    part = build_partition(hydras)
+    return [x for fam in part.families for r in (fam.epsilon / 3, fam.epsilon * 2 / 5)
+            for x in fam.lambda_at(g, r)]
+
+
+def assert_amplitudes_match(h, positions):
+    for x in positions:
+        amps = h.amplitudes_at(x)
+        times = h.times_at(x)
+        assert times == reference_times_at([h], x)
+        assert set(amps) <= set(times)
+        for t in times + [F(0), h.horizon, h.horizon / 3]:
+            want = reference_amplitude_at(h, x, t)
+            assert amps.get(t, 0) == want
+            assert h.amplitude_at(x, t) == want
 
 
 class TestAmplitudesAgainstReference:
     @given(random_hydras())
     @settings(max_examples=40, deadline=None)
     def test_amplitudes_at_matches_per_entry_scan(self, drawn):
-        g, hydras, _ = drawn
+        g, hydras, T = drawn
         for h in hydras:
-            for x in probe_positions(g, hydras):
-                amps = h.amplitudes_at(x)
-                times = h.times_at(x)
-                assert set(amps) <= set(times)
-                for t in times + [F(0), h.horizon, h.horizon / 3]:
-                    want = reference_amplitude_at(h, x, t)
-                    assert amps.get(t, 0) == want
-                    assert h.amplitude_at(x, t) == want
+            assert_amplitudes_match(h, probe_positions(g, hydras) + grid_probes(g, T))
+
+    @given(st.integers(min_value=0, max_value=10 ** 6),
+           st.fractions(min_value=F(1, 4), max_value=F(5, 2), max_denominator=4))
+    @settings(max_examples=25, deadline=None)
+    def test_family_sample_points(self, seed, T):
+        g = random_admissible_graph(random.Random(seed))
+        hydras = [propagate(g, gamma, T) for gamma in sorted(g.boundary)[:2]]
+        probes = family_probes(g, hydras)
+        for h in hydras:
+            assert_amplitudes_match(h, probes)
+
+    def test_offset_coprime_to_the_scale(self):
+        # every length has denominator 5 and the horizon is whole, so offset
+        # 1/11 needs a tick scale 11 times the hydras' own
+        g = MetricGraph([("e0", ("c", "b0"), F(3, 5)), ("e1", ("c", "b1"), F(7, 5)),
+                         ("e2", ("c", "b2"), F(4, 5))], boundary=["b0", "b1", "b2"])
+        hydras = [propagate(g, gamma, 4) for gamma in ("b0", "b2")]
+        probes = [g.position(e.id, F(k, 11)) for e in g.edges for k in (1, 2, 5)]
+        controls = {"b0": bump(0.1, 1.2), "b2": bump(0.3, 1.5)}
+        for h in hydras:
+            assert h.grid_scale() % 11
+            assert_amplitudes_match(h, probes)
+            assert len(h.times_at(probes[0])) > 1
+        for x in probes:
+            assert wave_eval(hydras, controls, x, 4) == \
+                reference_wave_eval(hydras, controls, x, 4)
 
     @given(random_hydras())
     @settings(max_examples=30, deadline=None)
@@ -234,6 +270,6 @@ class TestAmplitudesAgainstReference:
         g, hydras, T = drawn
         controls = {h.source: bump(0.05 * (i + 1), float(T) + 0.5)
                     for i, h in enumerate(hydras)}
-        for x in probe_positions(g, hydras):
+        for x in probe_positions(g, hydras) + grid_probes(g, T):
             assert wave_eval(hydras, controls, x, T) == \
                 reference_wave_eval(hydras, controls, x, T)

@@ -2,21 +2,25 @@
 
 Seeded random admissible graphs (the tests' generator) run through both
 sides' pipelines.  For each stage (partition, shifted parametric,
-canonical, spectrum) each side writes the stage's JSON, and the report
-counts per stage how many graphs were byte-identical, differed, timed out
-or raised on either side.
+canonical, spectrum, and simulate) each side writes the stage's JSON, and
+the report counts per stage how many graphs were byte-identical, differed,
+timed out or raised on either side.  The simulate stage writes the
+relative L2 error between the finite-difference and the convolution
+snapshots and both snapshots' per-edge values, every float as float.hex.
 
     python3 tools/identity.py --against HEAD~1 [--seeds 1000:1300]
                               [--cpu-limit 2] [--out DIR]
 
 Seed s draws from random.Random(s): a common denominator with probability
 0.7, the graph, 1-3 boundary sources and a horizon T in {1/4, ..., 10/4}.
-Each side runs in its own worker process with one BLAS thread; a graph
-whose run exceeds the CPU limit (seconds of process CPU) is stopped at the
-stage it was in.  The other revision's `src/` is extracted with
-`git archive` into a temporary directory.  The JSON goes to --out (kept) or
-to a temporary directory (removed).  Exit status 1 if any stage differed,
-or raised on one side where the other finished it.
+Each side runs in its own worker process with one BLAS thread.  The
+algebra stages (partition to spectrum) and the simulate stage are two
+chains, each with the CPU limit (seconds of process CPU) per graph; a
+chain that exceeds it, or raises, is stopped at the stage it was in.  The
+other revision's `src/` is extracted with `git archive` into a temporary
+directory.  The JSON goes to --out (kept) or to a temporary directory
+(removed).  Exit status 1 if any stage differed, or raised on one side
+where the other finished it.
 """
 
 from __future__ import annotations
@@ -35,7 +39,9 @@ from fractions import Fraction
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
-STAGES = ("partition", "parametric", "canonical", "spectrum")
+CHAINS = (("partition", "parametric", "canonical", "spectrum"), ("simulate",))
+"""Stage chains run one after the other; each stops at its first failure."""
+STAGES = tuple(stage for chain in CHAINS for stage in chain)
 
 
 def instances(seeds: range) -> list[dict]:
@@ -64,50 +70,76 @@ def _on_budget(signum, frame):
     raise _Budget
 
 
+def algebra_outputs(job: dict):
+    """The JSON of the partition, parametric, canonical and spectrum stages."""
+    from eikonal_canon import cli, serialize
+
+    g = cli.parse_graph_file(job["graph"])
+    horizon = Fraction(job["horizon"])
+    hydras = [cli.propagate(g, gamma, horizon) for gamma in job["sigma"]]
+    part = cli.build_partition(hydras)
+    yield serialize.partition_json(part)
+    frames = cli.family_frames(part, hydras)
+    repr_ = cli.build_parametric(part, frames, shifted=True)
+    yield serialize.parametric_json(repr_)
+    cf = cli.canonicalize(repr_)
+    yield serialize.canonical_json(cf)
+    sm = cli.build_spectrum(cf)
+    yield serialize.spectrum_json(sm, cli.quotient_graph(sm))
+
+
+def simulate_outputs(job: dict):
+    """The simulate stage, as `eikonal-canon simulate` runs it: the relative
+    L2 error and both snapshots, every float as float.hex."""
+    from eikonal_canon import cli
+
+    g = cli.parse_graph_file(job["graph"])
+    horizon = Fraction(job["horizon"])
+    hydras = [cli.propagate(g, gamma, horizon) for gamma in job["sigma"]]
+    grid = cli.GridSpec.choose(g, horizon)
+    phi = cli.default_bump(float(horizon))
+    controls = [cli.ControlSignal(gamma, phi) for gamma in job["sigma"]]
+    fd = cli.fd_wave(g, controls, horizon, grid)
+    cv = cli.convolution_snapshot(hydras, controls, horizon, grid)
+    yield {"relative_l2_error": cli.compare_snapshots(fd, cv).hex(),
+           **{name: {eid: [float(v).hex() for v in values]
+                     for eid, values in snap.values.items()}
+              for name, snap in (("fd", fd), ("convolution", cv))}}
+
+
 def worker(jobs_path: str, out_dir: str, cpu_limit: float) -> None:
-    """Run every job through the pipeline on sys.path.
+    """Run every job through both chains on sys.path.
 
     Writes each job's stage JSON under out_dir/<seed>/, the traceback of a
-    raise as error.txt there, and one status line per job to
-    out_dir/status.jsonl.
+    raise as error-<stage>.txt there, and one status line per job and
+    chain to out_dir/status.jsonl.
     """
-    from eikonal_canon import cli, serialize
+    from eikonal_canon import serialize
 
     signal.signal(signal.SIGPROF, _on_budget)
     records = []
     for job in json.loads(Path(jobs_path).read_text()):
         seed_dir = Path(out_dir) / str(job["seed"])
         seed_dir.mkdir(parents=True, exist_ok=True)
-        stage, status, error, outputs = STAGES[0], "ok", None, []
-        signal.setitimer(signal.ITIMER_PROF, cpu_limit)
-        try:
-            g = cli.parse_graph_file(job["graph"])
-            horizon = Fraction(job["horizon"])
-            hydras = [cli.propagate(g, gamma, horizon) for gamma in job["sigma"]]
-            part = cli.build_partition(hydras)
-            outputs.append(serialize.partition_json(part))
-            stage = "parametric"
-            frames = cli.family_frames(part, hydras)
-            repr_ = cli.build_parametric(part, frames, shifted=True)
-            outputs.append(serialize.parametric_json(repr_))
-            stage = "canonical"
-            cf = cli.canonicalize(repr_)
-            outputs.append(serialize.canonical_json(cf))
-            stage = "spectrum"
-            sm = cli.build_spectrum(cf)
-            outputs.append(serialize.spectrum_json(sm, cli.quotient_graph(sm)))
-        except _Budget:
-            status = "timeout"
-        except Exception as exc:  # noqa: BLE001 - every failure is reported
-            status, error = "raised", f"{type(exc).__name__}: {exc}"
-            (seed_dir / "error.txt").write_text(traceback.format_exc())
-        finally:
-            signal.setitimer(signal.ITIMER_PROF, 0)
-        for name, obj in zip(STAGES, outputs):
-            (seed_dir / f"{name}.json").write_text(serialize.dumps(obj))
-        records.append(json.dumps({"seed": job["seed"], "status": status,
-                                   "stage": None if status == "ok" else stage,
-                                   "error": error}))
+        for chain, outputs in zip(CHAINS, (algebra_outputs(job), simulate_outputs(job))):
+            stage, status, error, done = chain[0], "ok", None, []
+            signal.setitimer(signal.ITIMER_PROF, cpu_limit)
+            try:
+                for stage in chain:
+                    done.append(next(outputs))
+            except _Budget:
+                status = "timeout"
+            except Exception as exc:  # noqa: BLE001 - every failure is reported
+                status, error = "raised", f"{type(exc).__name__}: {exc}"
+                (seed_dir / f"error-{stage}.txt").write_text(traceback.format_exc())
+            finally:
+                signal.setitimer(signal.ITIMER_PROF, 0)
+            for name, obj in zip(chain, done):
+                (seed_dir / f"{name}.json").write_text(serialize.dumps(obj))
+            records.append(json.dumps({"seed": job["seed"], "chain": chain[0],
+                                       "status": status,
+                                       "stage": None if status == "ok" else stage,
+                                       "error": error}))
     (Path(out_dir) / "status.jsonl").write_text("\n".join(records) + "\n")
 
 
@@ -122,8 +154,8 @@ def extract_src(rev: str, dest: Path) -> Path:
 
 
 def run_sides(sides: dict[str, Path], jobs_path: Path, out: Path,
-              cpu_limit: float) -> dict[str, dict[int, dict]]:
-    """Both sides' workers, side by side; their status lines by side and seed."""
+              cpu_limit: float) -> dict[str, dict[tuple[int, str], dict]]:
+    """Both sides' workers, side by side; their status lines by side, seed and chain."""
     env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
     procs = {}
@@ -138,11 +170,11 @@ def run_sides(sides: dict[str, Path], jobs_path: Path, out: Path,
         if proc.wait():
             raise SystemExit(f"{side} worker exited with status {proc.returncode}")
         lines = (out / side / "status.jsonl").read_text().splitlines()
-        statuses[side] = {rec["seed"]: rec for rec in map(json.loads, lines)}
+        statuses[side] = {(rec["seed"], rec["chain"]): rec for rec in map(json.loads, lines)}
     return statuses
 
 
-def compare(seeds: range, out: Path, statuses: dict[str, dict[int, dict]]
+def compare(seeds: range, out: Path, statuses: dict[str, dict[tuple[int, str], dict]]
             ) -> tuple[dict[str, dict[str, int]], list[str], bool]:
     """Per stage: identical / differed / timed out / raised counts.
 
@@ -151,6 +183,7 @@ def compare(seeds: range, out: Path, statuses: dict[str, dict[int, dict]]
     the stage.  A stage after the one a side stopped in counts as that
     stop: raised if either side raised, timed out otherwise.
     """
+    chain_of = {stage: chain[0] for chain in CHAINS for stage in chain}
     counts = {stage: dict.fromkeys(("identical", "differed", "timed out", "raised"), 0)
               for stage in STAGES}
     findings, differs = [], False
@@ -165,7 +198,8 @@ def compare(seeds: range, out: Path, statuses: dict[str, dict[int, dict]]
                     findings.append(f"seed {seed}: {stage} differs")
                     differs = True
             else:
-                stopped = {side: statuses[side][seed] for side in files if side not in have}
+                stopped = {side: statuses[side][seed, chain_of[stage]]
+                           for side in files if side not in have}
                 raised = any(rec["status"] == "raised" for rec in stopped.values())
                 kind = "raised" if raised else "timed out"
                 for side, rec in stopped.items():
