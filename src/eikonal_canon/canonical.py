@@ -252,8 +252,7 @@ def _check_canonical_invariants(cb: CanonicalBlock, tol: float) -> None:
             if a2 < b1:
                 raise EikonalError(
                     f"tau ranges of source {gamma} overlap inside a block")
-    mats = [t.projector() for t in cb.terms]
-    if word_span_dim(mats, tol) != cb.kappa ** 2:
+    if word_span_dim(cb.betas(), tol) != cb.kappa ** 2:
         raise EikonalError("canonical block does not generate the full algebra")
 
 

@@ -10,9 +10,8 @@ which case an explicit orthogonal witness intertwines them.
 
 from __future__ import annotations
 
-import mmap
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -38,28 +37,27 @@ def _unit_rows(vectors) -> np.ndarray:
     return vecs
 
 
-def connected_classes(n: int, pairs: Iterable[tuple[int, int]]
-                      ) -> list[tuple[int, ...]]:
-    """Classes of range(n) under the transitive closure of the linked pairs.
+def connected_classes(linked: np.ndarray) -> list[tuple[int, ...]]:
+    """Classes of range(n) under the transitive closure of a symmetric n x n link matrix.
 
-    Union-find; each class is sorted and classes come by smallest member.
+    Each class grows from its smallest member one breadth at a time; classes
+    are sorted member tuples and come by smallest member.
     """
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, j in pairs:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return [tuple(groups[root]) for root in sorted(groups)]
+    linked = np.asarray(linked, bool)
+    free = np.ones(len(linked), bool)
+    out = []
+    for i in range(len(linked)):
+        if not free[i]:
+            continue
+        members = np.zeros(len(linked), bool)
+        members[i] = True
+        frontier = members
+        while frontier.any():
+            frontier = linked[frontier].any(axis=0) & ~members
+            members |= frontier
+        free &= ~members
+        out.append(tuple(np.flatnonzero(members).tolist()))
+    return out
 
 
 def equivalence_classes(vectors, tol: float = DEFAULT_TOL) -> list[tuple[int, ...]]:
@@ -71,9 +69,7 @@ def equivalence_classes(vectors, tol: float = DEFAULT_TOL) -> list[tuple[int, ..
     vecs = _unit_rows(vectors)
     if not len(vecs):
         return []
-    rows, cols = np.nonzero(np.abs(vecs @ vecs.T) > tol)
-    upper = rows < cols
-    return connected_classes(len(vecs), zip(rows[upper].tolist(), cols[upper].tolist()))
+    return connected_classes(np.abs(vecs @ vecs.T) > tol)
 
 
 def gram_matrix(vectors) -> np.ndarray:
@@ -151,99 +147,16 @@ def irreducible_reduction(vectors, tol: float = DEFAULT_TOL) -> np.ndarray:
     return gram_schmidt(_unit_rows(vectors), tol).nonzero_matrix().T
 
 
-_STRIP = 16
-"""Rows per strip in word_span_dim's row norms and rank-one updates: the
-results equal the whole-stack operations bit for bit, without a temporary
-the size of the stack."""
+def word_span_dim(vectors, tol: float = DEFAULT_TOL) -> int:
+    """Dimension of the algebra the projectors b_i b_i^T of unit-vector rows generate.
 
-
-def _mapped(rows: int, cols: int) -> np.ndarray:
-    """An uninitialized float array in its own anonymous memory mapping.
-
-    Pages are taken as they are written and all go back to the system when
-    the array goes.  word_span_dim keeps its stacks and basis (up to kappa^4
-    floats) out of malloc this way: glibc raises its mmap threshold to the
-    size of a freed block of up to 32 MiB, and the heap then keeps as much
-    as twice that for the rest of the process.
+    A class of the nonzero-inner-product relation generates the full matrix
+    algebra on its span: products along a path of linked betas give every
+    b_i b_k^T.  Different classes are orthogonal, so the algebra is the
+    direct sum of M_r over the classes, r the class's rank: sum r^2.  The
+    rank counts singular values above tol, the scale of gram_schmidt's zero
+    rows, since the rows are unit vectors.
     """
-    return np.frombuffer(mmap.mmap(-1, max(8, rows * cols * 8)),
-                         dtype=float, count=rows * cols).reshape(rows, cols)
-
-
-def _row_norms(a: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(a, axis=1), one strip of rows at a time."""
-    out = np.empty(len(a))
-    for i in range(0, len(a), _STRIP):
-        out[i:i + _STRIP] = np.linalg.norm(a[i:i + _STRIP], axis=1)
-    return out
-
-
-def word_span_dim(mats: Sequence[np.ndarray], tol: float = DEFAULT_TOL) -> int:
-    """Dimension of the span of all nonempty words in the given matrices.
-
-    Grows orthonormal (vectorized) rows of the span a whole word length at a
-    time.  Each round multiplies every generator by the words that brought
-    new directions in the last round; one generator's products are
-    normalized and projected out of the span twice, and then, largest
-    residual first, each word whose residual is above 10 * tol adds a
-    direction (column-pivoted Gram-Schmidt).  A stack is at most (new words)
-    x kappa^2.  Rounds multiply words, not span directions: a direction taken
-    from a small residual carries roundoff divided by that residual, and
-    that roundoff reaches later residuals (1.8e-9 on a summand whose
-    smallest genuine residual was 1.6e-7), so a pick needs 10 * tol.
-    """
-    mats = [np.asarray(m, float) for m in mats]
-    if not mats:
-        return 0
-    dim = mats[0].shape[0]
-    cap = dim * dim
-    # the generators g / |g|, divided out where they are used, not held as copies
-    gens = [(m, nm) for m in mats if (nm := float(np.linalg.norm(m))) > tol]
-    basis = _mapped(cap, cap)
-    rank = 0
-
-    def absorb(stack: np.ndarray, word) -> np.ndarray:
-        """Add the new directions of a stack of words; return the words that did.
-
-        The stack, a temporary, becomes the residuals; word(i) rebuilds its
-        i-th row as it was passed, so no second copy of the stack is held.
-        """
-        nonlocal rank
-        res = stack.reshape(len(stack), cap)
-        norms = _row_norms(res)
-        kept = np.flatnonzero((norms > tol) & (rank < cap))  # a full span takes nothing
-        if len(kept) < len(res):
-            res, norms = res[kept], norms[kept]
-        res /= norms[:, None]
-        for _ in range(2 if rank else 0):  # re-orthogonalize: one pass alone drifts
-            res -= (res @ basis[:rank].T) @ basis[:rank]
-        picked = []
-        while len(res) and rank < cap:
-            sizes = _row_norms(res)
-            p = int(np.argmax(sizes))
-            if sizes[p] <= 10 * tol:
-                break
-            q = res[p] - (basis[:rank] @ res[p]) @ basis[:rank]
-            q /= np.linalg.norm(q)
-            c = res @ q
-            for i in range(0, len(res), _STRIP):
-                res[i:i + _STRIP] -= np.outer(c[i:i + _STRIP], q)
-            basis[rank] = q
-            rank += 1
-            picked.append(p)
-        return np.array([word(kept[p]) / norms[p] for p in picked]).reshape(len(picked), cap)
-
-    first = _mapped(len(gens), cap)
-    for out, (m, nm) in zip(first, gens):
-        np.divide(m, nm, out=out.reshape(dim, dim))
-    layer = absorb(first, lambda i: np.divide(*gens[i]).ravel())
-    while len(layer) and rank < cap:
-        words = layer.reshape(-1, dim, dim)
-        products, stack = _mapped(len(words), cap), _mapped(len(words), cap)
-        found = []
-        for m, nm in gens:
-            np.matmul(m / nm, words, out=products.reshape(-1, dim, dim))
-            np.copyto(stack, products)
-            found.append(absorb(stack, lambda i: products[i]))
-        layer = np.vstack(found)
-    return rank
+    vecs = _unit_rows(vectors)
+    return sum(int(np.linalg.matrix_rank(vecs[list(members)], tol)) ** 2
+               for members in equivalence_classes(vecs, tol))

@@ -2,9 +2,12 @@
 
 Every canonical block contributes a segment; evaluating the generators at a
 segment end yields a matrix subalgebra whose irreducible summands are the
-cluster points sitting at that end.  Interior points are coordinatized by
-the per-source eigenvalue multisets, and identifying endpoint coordinate
-matches folds the segments into an abstract quotient graph.
+cluster points sitting at that end.  The summands are read off the
+eigenspaces of one seeded random element of that subalgebra (Murota, Kanno,
+Kojima & Kojima 2010), linked by the generators and certified to act as
+M_d (x) I_m.  Interior points are coordinatized by the per-source eigenvalue
+multisets, and identifying endpoint coordinate matches folds the segments
+into an abstract quotient graph.
 """
 
 from __future__ import annotations
@@ -18,9 +21,11 @@ import numpy as np
 from .canonical import CanonicalBlock, CanonicalForm
 from .errors import EikonalError, InvariantViolation
 from .metric_graph import merge_intervals
+# word_span_dim is unused here but bench/tracing.py's WRAPS wraps it (ROADMAP item 6)
 from .projalg import DEFAULT_TOL, connected_classes, word_span_dim
 
 CLUSTER_SEED = 0x5EED
+CLUSTER_TRIES = 4  # random elements a block end may draw before it raises
 
 
 @dataclass(frozen=True)
@@ -53,86 +58,120 @@ class QuotientGraph:
     edges: tuple[tuple[int, int, Fraction, int], ...]  # (node_a, node_b, len, block)
 
 
-def _commutant_basis(gens: Sequence[np.ndarray], tol: float) -> list[np.ndarray]:
-    """Nullspace of X -> [X, g] stacked over the given matrices."""
-    n = gens[0].shape[0]
-    n2 = n * n
-    eye = np.eye(n)
-    stack = np.empty((len(gens) * n2, n2))
-    for i, g in enumerate(gens):
-        rows = stack[i * n2:(i + 1) * n2]
-        np.subtract(np.kron(eye, g), np.kron(g.T, eye), out=rows)
-        rows /= max(1.0, float(np.linalg.norm(g)))
-    # R of the stack's QR has its singular values and right vectors, and the
-    # stack's thin U is never formed
-    _, s, vt = np.linalg.svd(np.linalg.qr(stack, mode="r"), full_matrices=False)
-    if s.size == 0 or s[0] == 0:
-        rank = 0
-    else:
-        rank = int(np.sum(s > tol * max(1.0, s[0])))
-    null = vt[rank:]
-    return [v.reshape(n, n) for v in null]
+def _read_summands(g: np.ndarray, c: np.ndarray, tol: float) -> list[tuple[int, int]]:
+    """algebra_summands for one h = sum c_kk g_k + sum_{k<l} c_kl (g_k g_l + g_l g_k)."""
+    k, kappa = len(g), g.shape[1]
+    # the anticommutator sum is p + p^T with p = sum_k g_k sum_{l>k} c_kl g_l
+    p = sum((g[i] @ np.tensordot(c[i, i + 1:], g[i + 1:], 1) for i in range(k - 1)),
+            np.zeros((kappa, kappa)))
+    w, v = np.linalg.eigh(np.tensordot(np.diag(c), g, 1) + p + p.T)
+    # eigh's eigenvalues are exact for h + E, |E| within about kappa * eps *
+    # |h|, so equal eigenvalues come back that close.  Distinct ones of
+    # inequivalent summands have come 8.7e-8 |h| close at a kappa-28 end and
+    # 1.5e-10 |h| at a kappa-64 end, which a relative 1e-7 would merge; 1e3 |E|
+    # still groups equal eigenvalues and keeps those apart.
+    err = kappa * np.finfo(float).eps * max(abs(w[0]), abs(w[-1]))
+    starts = np.flatnonzero(np.diff(w, prepend=-np.inf) > 1e3 * err)
+    sizes = np.diff(starts, append=kappa)
+    comp = v.T @ g @ v
+    norms = np.sqrt(np.add.reduceat(np.add.reduceat(
+        np.einsum("kij,kij->ij", comp, comp), starts, 0), starts, 1))
+    # an eigenspace is known to within an angle |E| / gap, its distance to the
+    # next eigenvalue, so a link below that angle may be eigenvector mixing
+    gaps = np.diff(w)[starts[1:] - 1]
+    noise = np.sqrt(k * sizes) * err / np.minimum(np.append(gaps, np.inf),
+                                                  np.append(np.inf, gaps))
+    components = connected_classes(norms > tol)
+    if components != connected_classes(norms > tol + noise[:, None] + noise):
+        raise InvariantViolation("eigenvalues too close to tell links from "
+                                 "eigenvector error")
+    out = []
+    for members in components:
+        d, m = len(members), int(sizes[members[0]])
+        if np.any(sizes[list(members)] != m):
+            raise InvariantViolation(
+                f"linked eigenspaces of dimensions "
+                f"{sorted(set(sizes[list(members)].tolist()))}, not one")
+        idx = np.concatenate([np.arange(starts[a], starts[a] + m) for a in members])
+        x = comp[:, idx[:, None], idx].reshape(k, d, m, d, m)
+        if np.max(np.abs(x)) <= tol:  # every generator vanishes here: no summand
+            continue
+        if m > 1:
+            # rotate each eigenspace so that its block with its parent in a
+            # maximum spanning tree of links (Prim) becomes a multiple of I_m
+            rot = np.tile(np.eye(m), (d, 1, 1))
+            strength = norms[np.ix_(members, members)]
+            parent, best, done = np.zeros(d, int), strength[0].copy(), np.zeros(d, bool)
+            done[0] = True
+            for _ in range(d - 1):
+                b = int(np.argmax(np.where(done, -1.0, best)))
+                blocks = x[:, parent[b], :, b, :]
+                big = blocks[np.argmax(np.einsum("kij,kij->k", blocks, blocks))]
+                u, _, vt = np.linalg.svd(rot[parent[b]].T @ big)
+                rot[b] = vt.T @ u.T
+                done[b] = True
+                closer = strength[b] > best
+                parent[closer], best[closer] = b, strength[b][closer]
+            x = np.einsum("aji,kajbl,blq->kaibq", rot, x, rot, optimize=True)
+        scalar = np.einsum("kaibi->kab", x) / m
+        resid = float(np.max(np.abs(x - scalar[:, :, None, :, None] * np.eye(m)[:, None])))
+        # aligned real-type blocks miss a multiple of I_m by eigenvector error,
+        # far below 1e-6; complex or quaternionic ones by their own size
+        if resid > 1e-6:
+            raise InvariantViolation(
+                f"a linked component of {d} eigenspaces of dimension {m} does "
+                f"not read G (x) I_m (residual {resid:.1e})")
+        out.append((d, m))
+    return out
+
+
+def algebra_summands(gens: Sequence[np.ndarray], tol: float = DEFAULT_TOL,
+                     where: str = "algebra") -> list[tuple[int, int]]:
+    """(d, m) of each irreducible summand M_d (x) I_m of the algebra symmetric gens generate.
+
+    A seeded random symmetric h = sum c_k g_k + sum_{k<l} c_kl (g_k g_l +
+    g_l g_k) over the normalised generators acts on a summand as a generic
+    d x d matrix (x) I_m, so its eigenspaces there are d spaces of dimension
+    m.  Two eigenspaces are linked when the generators' compressions
+    V_a^T g V_b exceed tol, and each linked component is one summand:
+    different summands never link (their central projections commute with
+    every generator), and the d eigenspaces of one summand cannot split into
+    unlinked parts, or the generators would not generate M_d.  Each reading
+    is certified, not assumed: no link that decides a component may be as
+    small as eigenvector error, a component's eigenspaces share one
+    dimension m, and once they are aligned along a spanning tree of links
+    every generator reads G (x) I_m.  A complex or quaternionic summand, or
+    an h that is not generic, fails that check.  A subspace on which every
+    generator vanishes is no summand.  A failed reading draws h
+    again, up to CLUSTER_TRIES times, then raises InvariantViolation naming
+    `where` and the reason.  A reading costs one kappa x kappa eigh and
+    K kappa^3 for the compressions.
+    """
+    g = np.array([m / nm for m in gens if (nm := float(np.linalg.norm(m))) > tol])
+    if not len(g):
+        raise EikonalError(f"{where}: all generators vanish")
+    rng = np.random.default_rng(CLUSTER_SEED)
+    for _ in range(CLUSTER_TRIES):
+        try:
+            return _read_summands(g, rng.normal(size=(len(g), len(g))), tol)
+        except InvariantViolation as err:
+            reason = err
+    raise InvariantViolation(f"{where}: {reason} ({CLUSTER_TRIES} random elements)")
 
 
 def boundary_clusters(block: CanonicalBlock, end: int,
                       tol: float = DEFAULT_TOL) -> list[int]:
-    """Dimensions of the irreducible summands of a block-end subalgebra.
+    """Dimensions of the irreducible summands of a block-end subalgebra, ascending.
 
-    Evaluates all generators at the end and splits R^kappa by the spectral
-    projections of a seeded random element of the algebra's center; the
-    center is the double-Sylvester nullspace commutant(gens + commutant),
-    which equals algebra meet commutant because the algebra is nondegenerate
-    and closed under transposition.  Each summand's dimension is read off
-    the word-span of the restricted generators.
+    Evaluates the generators at the end (r = 0 or r = length) and reads the
+    algebra they generate with algebra_summands.
     """
-    kappa = block.kappa
-    if kappa == 0:
+    if block.kappa == 0:
         return []
     r = block.length if end else Fraction(0)
-    gammas = sorted({t.gamma for t in block.terms})
-    gens = [block.generator_at(g, r) for g in gammas]
-    gens = [g for g in gens if float(np.max(np.abs(g))) > tol]
-    if not gens:
-        raise EikonalError("all generators vanish at the block end")
-
-    commutant = _commutant_basis(gens, tol)
-    center = _commutant_basis(gens + commutant, tol)
-    if not center:
-        raise InvariantViolation("boundary subalgebra has an empty center")
-
-    rng = np.random.default_rng(CLUSTER_SEED)
-    z = np.zeros((kappa, kappa))
-    for c in center:
-        z += rng.normal() * (c + c.T) / 2
-    w, v = np.linalg.eigh(z)
-    groups: list[list[int]] = [[0]]
-    for i in range(1, kappa):
-        if abs(w[i] - w[i - 1]) < 1e-7 * max(1.0, abs(w[i])):
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-
-    dims = []
-    for grp in groups:
-        e = v[:, grp] @ v[:, grp].T
-        # validate the spectral projection is central for the algebra
-        resid = max(float(np.max(np.abs(e @ g - g @ e))) for g in gens)
-        if resid > 1e-6:
-            raise InvariantViolation(
-                f"central projection residual {resid} above tolerance")
-        sub = [e @ g @ e for g in gens]
-        d = word_span_dim(sub, tol)
-        size = int(round(np.sqrt(d)))
-        if size * size != d:
-            raise InvariantViolation(
-                f"summand word-span {d} is not a perfect square")
-        rank_e = len(grp)
-        if rank_e % size != 0:
-            raise InvariantViolation("summand multiplicity is not integral")
-        dims.append(size)
-    if sum(dims) > kappa:
-        raise InvariantViolation("summand dimensions exceed the block dimension")
-    return sorted(dims)
+    gens = [block.generator_at(g, r) for g in sorted({t.gamma for t in block.terms})]
+    where = f"end {end} (r = {r}) of a kappa-{block.kappa} block"
+    return sorted(d for d, _ in algebra_summands(gens, tol, where))
 
 
 def build_spectrum(cf: CanonicalForm, tol: float = DEFAULT_TOL) -> SpectrumModel:
@@ -182,9 +221,13 @@ def quotient_graph(sm: SpectrumModel) -> QuotientGraph:
     coords = [gamma_coordinates(cf, i, cf.blocks[i].length if end else Fraction(0))
               for i, end in endpoints]
     first: dict[tuple[str, Fraction], int] = {}  # per source value, its first endpoint
-    classes = connected_classes(len(endpoints), [
-        (first.setdefault((gamma, value), k), k)
-        for k, c in enumerate(coords) for gamma in cf.sigma for value in c[gamma]])
+    linked = np.zeros((len(endpoints), len(endpoints)), bool)
+    for k, c in enumerate(coords):
+        for gamma in cf.sigma:
+            for value in c[gamma]:
+                j = first.setdefault((gamma, value), k)
+                linked[j, k] = linked[k, j] = True
+    classes = connected_classes(linked)
     nodes = tuple(tuple(endpoints[k] for k in members) for members in classes)
     node_of = {ep: node_idx for node_idx, members in enumerate(nodes) for ep in members}
     edges = tuple(

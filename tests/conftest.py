@@ -1,4 +1,5 @@
-"""Shared fixtures: reference graphs and a generator of random admissible graphs."""
+"""Shared fixtures: reference graphs, a generator of random admissible graphs,
+and slow reference implementations that the library is tested against."""
 
 from __future__ import annotations
 
@@ -6,6 +7,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from eikonal_canon import MetricGraph
@@ -209,3 +211,69 @@ def dense(alpha) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(alpha.entries.get((i, j), Fraction(0))
                        for j in range(len(alpha.positions)))
                  for i in range(len(alpha.times)))
+
+
+def reference_word_span_dim(mats, tol: float = 1e-9) -> int:
+    """Dimension of the span of all nonempty words in the matrices, grown one
+    word at a time by double classical Gram-Schmidt on kappa^2-vectors: the
+    reference for `projalg.word_span_dim` and `spectrum.algebra_summands`."""
+    basis = []
+    cap = mats[0].shape[0] ** 2
+
+    def absorb(m):
+        if len(basis) >= cap or np.linalg.norm(m) <= tol:
+            return None
+        m = m / np.linalg.norm(m)
+        v = m.reshape(-1).copy()
+        for _ in range(2):
+            for b in basis:
+                v = v - (v @ b) * b
+        if np.linalg.norm(v) > tol:
+            basis.append(v / np.linalg.norm(v))
+            return m
+        return None
+
+    gens = [m / np.linalg.norm(m) for m in mats if np.linalg.norm(m) > tol]
+    layer = [k for k in map(absorb, mats) if k is not None]
+    while layer and len(basis) < cap:
+        layer = [k for k in (absorb(g @ m) for m in layer for g in gens)
+                 if k is not None]
+    return len(basis)
+
+
+def reference_commutant(mats, tol: float = 1e-9) -> list:
+    """Basis of the nullspace of X -> [X, g] stacked over the matrices (an SVD
+    of (len(mats) kappa^2) x kappa^2)."""
+    n = mats[0].shape[0]
+    eye = np.eye(n)
+    stack = np.vstack([(np.kron(eye, g) - np.kron(g.T, eye)) / max(1.0, np.linalg.norm(g))
+                       for g in mats])
+    _, s, vt = np.linalg.svd(stack, full_matrices=False)
+    rank = int(np.sum(s > tol * max(1.0, s[0]))) if s[0] else 0
+    return [v.reshape(n, n) for v in vt[rank:]]
+
+
+def reference_summand_dims(gens, tol: float = 1e-9) -> list[int]:
+    """Irreducible summand dimensions of the algebra symmetric gens generate.
+
+    The centre is commutant(gens + commutant(gens)); the eigenspaces of a
+    seeded random central element are the summands, and each summand's size
+    is the square root of its restricted generators' word span.
+    """
+    gens = [g for g in gens if np.max(np.abs(g)) > tol]
+    commutant = reference_commutant(gens, tol)
+    center = reference_commutant(gens + commutant, tol)
+    rng = np.random.default_rng(0x5EED)
+    w, v = np.linalg.eigh(sum(rng.normal() * (c + c.T) / 2 for c in center))
+    groups: list[list[int]] = [[0]]
+    for i in range(1, len(w)):
+        if abs(w[i] - w[i - 1]) < 1e-7 * max(1.0, abs(w[i])):
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    dims = []
+    for grp in groups:
+        e = v[:, grp] @ v[:, grp].T
+        size = math.isqrt(reference_word_span_dim([e @ g @ e for g in gens], tol))
+        dims.append(size)
+    return sorted(dims)

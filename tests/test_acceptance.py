@@ -37,6 +37,7 @@ from eikonal_canon import (
     word_span_dim,
 )
 from eikonal_canon.representation import merge_intervals
+from eikonal_canon.spectrum import algebra_summands
 
 from conftest import bump, random_admissible_graph
 
@@ -191,7 +192,8 @@ def test_criterion_5_eigenvalue_identity():
 
 
 def test_criterion_6_interior_fullness(star3):
-    """Word span at interior tuples equals the sum of kappa^2 over blocks."""
+    """The algebra at interior tuples (word span = sum of d^2 over its summands)
+    has dimension sum of kappa^2 over blocks."""
     rng = random.Random(0xC666)
     cases = [(star3, ["g1"], F(3, 2)), (star3, ["g1", "g2"], F(5, 4))]
     for g, gamma, T in subcritical_instances(0xC616, 6):
@@ -217,7 +219,7 @@ def test_criterion_6_interior_fullness(star3):
                 big[at:at + m.shape[0], at:at + m.shape[0]] = m
                 at += m.shape[0]
             gens.append(big)
-        got = word_span_dim(gens)
+        got = sum(d * d for d, _ in algebra_summands(gens))
         details.append(f"{got}=={want}")
         ok &= got == want
     report("criterion 6: interior fullness", ok,
@@ -286,7 +288,7 @@ def test_criterion_7_canonicalization_correctness(star3):
                         if abs(float(t.beta @ s.beta)) > 1e-8:
                             report("criterion 7: canonicalization", False,
                                    "per-source projectors not orthogonal")
-            if word_span_dim([t.projector() for t in cb.terms]) != cb.kappa ** 2:
+            if word_span_dim(cb.betas()) != cb.kappa ** 2:
                 report("criterion 7: canonicalization", False,
                        "block does not generate the full matrix algebra")
     report("criterion 7: canonicalization correctness", True,

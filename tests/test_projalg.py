@@ -16,6 +16,8 @@ from eikonal_canon.projalg import (
     word_span_dim,
 )
 
+from conftest import reference_word_span_dim
+
 RT2 = 1.0 / math.sqrt(2.0)
 
 
@@ -192,53 +194,18 @@ class TestConnectionTest:
             assert v.connected is expect
 
 
-def word_span_dim_reference(mats, tol=1e-9):
-    """Loop reference: absorb one word at a time by double classical GS."""
-    basis = []
-    cap = mats[0].shape[0] ** 2
-
-    def absorb(m):
-        if len(basis) >= cap or np.linalg.norm(m) <= tol:
-            return None
-        m = m / np.linalg.norm(m)
-        v = m.reshape(-1).copy()
-        for _ in range(2):
-            for b in basis:
-                v = v - (v @ b) * b
-        if np.linalg.norm(v) > tol:
-            basis.append(v / np.linalg.norm(v))
-            return m
-        return None
-
-    gens = [m / np.linalg.norm(m) for m in mats if np.linalg.norm(m) > tol]
-    layer = [k for k in map(absorb, mats) if k is not None]
-    while layer and len(basis) < cap:
-        layer = [k for k in (absorb(g @ m) for m in layer for g in gens)
-                 if k is not None]
-    return len(basis)
-
-
-def block_algebra_generators(rng):
-    """2-4 generators of a rotated direct sum of M_k (x) I_m, k <= 3."""
-    parts = [(int(rng.integers(1, 4)), int(rng.integers(1, 3)))
-             for _ in range(rng.integers(1, 4))]
-    n = sum(k * m for k, m in parts)
-    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-    gens = []
-    for _ in range(int(rng.integers(2, 5))):
-        g = np.zeros((n, n))
-        o = 0
-        for k, m in parts:
-            if rng.integers(2):
-                v = rng.normal(size=k)
-                a = np.outer(v, v) / (v @ v)
-            else:
-                a = rng.normal(size=(k, k))
-                a = a + a.T
-            g[o:o + k * m, o:o + k * m] = np.kron(a, np.eye(m))
-            o += k * m
-        gens.append(q @ g @ q.T)
-    return gens
+def projector_family(rng):
+    """Unit vectors in 2-4 mutually orthogonal classes: each class draws 1 to
+    r + 1 vectors from an r-dimensional span, so some classes span less."""
+    ranks = [int(rng.integers(1, 4)) for _ in range(rng.integers(2, 5))]
+    q, _ = np.linalg.qr(rng.normal(size=(sum(ranks) + 1, sum(ranks) + 1)))
+    fam, o = [], 0
+    for r in ranks:
+        span = q[:, o:o + r]
+        o += r
+        for _ in range(int(rng.integers(1, r + 2))):
+            fam.append(unit(span @ rng.normal(size=r)))
+    return [fam[i] for i in rng.permutation(len(fam))]
 
 
 def assert_spans(q, fam):
@@ -276,25 +243,18 @@ class TestReductionAndWords:
             fam = [unit(v) for v in vecs]
             (members,) = equivalence_classes(fam)  # generic vectors: one class
             kappa = irreducible_reduction([fam[i] for i in members]).shape[1]
-            mats = [np.outer(v, v) for v in vecs]
-            assert word_span_dim(mats) == kappa ** 2
-
-    def test_word_span_with_multiplicity(self):
-        # M_2 acting on R^2 (x) R^2 with multiplicity 2: dimension 4, not 16
-        p1 = np.diag([1.0, 0.0])
-        p2 = np.full((2, 2), 0.5)
-        eye = np.eye(2)
-        assert word_span_dim([np.kron(p1, eye), np.kron(p2, eye)]) == 4
+            assert word_span_dim(vecs) == kappa ** 2
 
     def test_word_span_matches_loop_reference(self):
-        # growing the next round from span directions instead of words
-        # amplifies roundoff and overcounts two of these (49 for 17, 81 for 18)
+        # the classes' rank sum of squares is the dimension of the algebra
+        # their projectors generate, which the word-by-word loop spans
         rng = np.random.default_rng(3)
         for _ in range(40):
-            gens = block_algebra_generators(rng)
-            assert word_span_dim(gens) == word_span_dim_reference(gens)
+            fam = projector_family(rng)
+            assert word_span_dim(fam) == reference_word_span_dim(
+                [np.outer(v, v) for v in fam])
 
     def test_word_span_block_diagonal(self):
-        p = np.diag([1.0, 0.0])
-        q = np.diag([0.0, 1.0])
-        assert word_span_dim([p, q]) == 2
+        assert word_span_dim([unit([1, 0]), unit([0, 1])]) == 2
+        # a one-class family that does not span its space
+        assert word_span_dim([unit([1, 1, 0]), unit([1, 0, 0])]) == 4

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eikonal_canon import (
     MetricGraph,
@@ -22,7 +24,13 @@ from eikonal_canon import (
     sigma_ac,
 )
 from eikonal_canon.canonical import BlockTerm, CanonicalBlock
+from eikonal_canon.errors import InvariantViolation
+from eikonal_canon.projalg import word_span_dim
 from eikonal_canon.representation import LinearTimeFn
+from eikonal_canon.spectrum import algebra_summands
+
+from conftest import reference_summand_dims, reference_word_span_dim
+from test_golden_json import INSTANCES as GOLDEN_INSTANCES
 
 F = Fraction
 
@@ -74,25 +82,6 @@ class TestBoundaryClusters:
         assert boundary_clusters(big, 0) == [3]
         assert boundary_clusters(big, 1) == [1, 2]
 
-    def test_commutant_basis_matches_stacked_reference(self):
-        # the preallocated stack holds the same rows as stacking the scaled
-        # commutator maps, so the SVD and the basis agree bit for bit
-        from eikonal_canon.spectrum import _commutant_basis
-
-        rng = np.random.default_rng(3)
-        for n, count in ((1, 2), (3, 4), (5, 3)):
-            gens = [rng.normal(size=(n, n)) * rng.choice([0.5, 3.0])
-                    for _ in range(count)]
-            eye = np.eye(n)
-            stack = np.vstack([(np.kron(eye, g) - np.kron(g.T, eye))
-                               / max(1.0, float(np.linalg.norm(g))) for g in gens])
-            _, sv, vt = np.linalg.svd(stack, full_matrices=False)
-            rank = int(np.sum(sv > 1e-9 * max(1.0, sv[0]))) if sv[0] else 0
-            got = _commutant_basis(gens, 1e-9)
-            assert len(got) == len(vt) - rank
-            for x, v in zip(got, vt[rank:]):
-                assert np.array_equal(x, v.reshape(n, n))
-
     def test_summand_dims_bounded(self, star3):
         _, cf = pipeline(star3, ["g1", "g2"], F(5, 4))
         for cb in cf.blocks:
@@ -100,15 +89,155 @@ class TestBoundaryClusters:
                 assert sum(boundary_clusters(cb, end)) <= cb.kappa
 
     def test_ill_conditioned_star_summands_are_squares(self):
-        # the rank-13 summands at these two ends have genuine word residuals
-        # down to 1.6e-7, and the roundoff those directions carry reaches
-        # 1.8e-9: a pick threshold of tol would count a span of 170
+        # the rank-13 summands at these two ends have word-span residuals down
+        # to 1.6e-7, which a word-by-word span miscounts at a pick threshold
+        # of tol (170 for 169); the eigenspace reading has no such threshold
         g = MetricGraph([("e0", ("c", "b0"), 1), ("e1", ("c", "b1"), F(17, 7)),
                          ("e2", ("c", "b2"), F(4, 7))], boundary=["b0", "b1", "b2"])
         _, cf = pipeline(g, ["b0", "b1", "b2"], F(5, 2))
         assert [cb.kappa for cb in cf.blocks] == [25, 24, 1]
         assert boundary_clusters(cf.blocks[0], 0) == [12, 13]
         assert boundary_clusters(cf.blocks[1], 0) == [1, 10, 13]
+
+
+def random_symmetric(rng, d):
+    a = rng.normal(size=(d, d))
+    return a + a.T
+
+
+def summand_family(rng, near_equivalent: bool):
+    """(generators, summands) of a rotated direct sum of M_d (x) I_m, d <= 3, m <= 2.
+
+    Per summand the first generator block is a random symmetric matrix and
+    the others random symmetric or rank-one, so each summand's blocks
+    generate M_d.  near_equivalent adds a second, multiplicity-one copy of
+    the first summand, its blocks moved by 1e-3: an inequivalent summand
+    whose h eigenvalues sit close to the first's.
+    """
+    k = int(rng.integers(2, 5))
+    parts = [(int(rng.integers(1, 4)), int(rng.integers(1, 3)))
+             for _ in range(rng.integers(1, 4))]
+    blocks = []
+    for d, _ in parts:
+        gens = [random_symmetric(rng, d)]
+        for _ in range(k - 1):
+            v = rng.normal(size=d)
+            gens.append(random_symmetric(rng, d) if rng.integers(2) else np.outer(v, v) / (v @ v))
+        blocks.append(gens)
+    if near_equivalent:
+        parts.append((parts[0][0], 1))
+        blocks.append([a + 1e-3 * random_symmetric(rng, len(a)) for a in blocks[0]])
+    n = sum(d * m for d, m in parts)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    gens = []
+    for i in range(k):
+        g = np.zeros((n, n))
+        o = 0
+        for (d, m), per_gen in zip(parts, blocks):
+            g[o:o + d * m, o:o + d * m] = np.kron(per_gen[i], np.eye(m))
+            o += d * m
+        gens.append(q @ g @ q.T)
+    return gens, sorted(parts)
+
+
+def end_generators(cb, end):
+    r = cb.length if end else F(0)
+    return [cb.generator_at(g, r) for g in sorted({t.gamma for t in cb.terms})]
+
+
+class TestAlgebraSummands:
+    @given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_summands_match_commutant_reference(self, seed, near_equivalent):
+        gens, parts = summand_family(np.random.default_rng(seed), near_equivalent)
+        got = algebra_summands(gens)
+        assert sorted(got) == parts
+        assert sorted(d for d, _ in got) == reference_summand_dims(gens)
+
+    def test_multiplicity_two(self):
+        # M_2 acting on R^2 (x) R^2 with multiplicity 2: words span 4, not 16
+        p1 = np.diag([1.0, 0.0])
+        p2 = np.full((2, 2), 0.5)
+        gens = [np.kron(p1, np.eye(2)), np.kron(p2, np.eye(2))]
+        assert reference_word_span_dim(gens) == 4
+        assert algebra_summands(gens) == [(2, 2)]
+
+    def test_complex_summand_raises(self):
+        # M_2(C) acting on R^4: the realified Hermitian generators are
+        # symmetric, but their blocks read a I + b J, not G (x) I_2 (two
+        # Hermitian 2 x 2 matrices are real up to a unitary; three are not)
+        rng = np.random.default_rng(5)
+        gens = []
+        for _ in range(3):
+            h = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            h = h + h.conj().T
+            gens.append(np.block([[h.real, -h.imag], [h.imag, h.real]]))
+        with pytest.raises(InvariantViolation, match="G \\(x\\) I_m"):
+            algebra_summands(gens)
+
+    def test_subspace_where_generators_vanish_is_no_summand(self):
+        assert algebra_summands([np.diag([1.0, 2.0, 0.0])]) == [(1, 1), (1, 1)]
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_INSTANCES))
+    def test_golden_blocks_match_reference(self, name):
+        make_graph, sigma, horizon = GOLDEN_INSTANCES[name]
+        _, cf = pipeline(make_graph(), sigma, horizon)
+        for cb in cf.blocks:
+            assert word_span_dim(cb.betas()) == reference_word_span_dim(
+                [t.projector() for t in cb.terms]) == cb.kappa ** 2
+            for end in (0, 1):
+                assert boundary_clusters(cb, end) == reference_summand_dims(
+                    end_generators(cb, end))
+
+
+class TestLargeBlocks:
+    def test_pendant_triangle_block_is_irreducible_at_both_ends(self):
+        # the commutant and word-span reading raised "summand word-span 480
+        # is not a perfect square" at both ends of the kappa-22 block
+        g = MetricGraph([("e0", ("v0", "v1"), F(17, 6)), ("e1", ("v1", "v2"), F(17, 12)),
+                         ("e2", ("v2", "v0"), F(11, 12)), ("e3", ("v0", "b0"), F(5, 3)),
+                         ("e4", ("v1", "b1"), F(9, 4)), ("e5", ("v2", "b2"), F(1, 2))],
+                        boundary=["b0", "b1", "b2"])
+        _, cf = pipeline(g, ["b0", "b2"], F(5, 2))
+        segments = build_spectrum(cf).segments
+        (seg,) = [s for s in segments if cf.blocks[s.block].kappa == 22]
+        assert seg.start_summands == seg.end_summands == (22,)
+
+    def test_kappa_247_tree_block_without_kappa4_arrays(self):
+        # sweep seed 0's instance 385: the word span of this block's
+        # projectors asked for 247^4 floats (30 GB) and raised OSError
+        g = MetricGraph([("e0", ("c", "b0"), F(9, 10)), ("e1", ("c", "b1"), F(7, 3)),
+                         ("e2", ("c", "b2"), F(2)), ("e3", ("b2", "b3"), F(1)),
+                         ("e4", ("b2", "b4"), F(2))], boundary=["b0", "b1", "b3", "b4"])
+        _, cf = pipeline(g, ["b0", "b1", "b3", "b4"], F(9, 2))
+        (cb,) = cf.blocks
+        assert cb.kappa == 247
+        tracemalloc.start()
+        try:
+            full = word_span_dim(cb.betas())
+            ends = boundary_clusters(cb, 0), boundary_clusters(cb, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert full == 247 ** 2
+        assert ends == ([247], [1, 246])
+        # K kappa^2 floats are about 2 MB here; one kappa^3 array would be 120 MB
+        assert peak < 64 * 2 ** 20
+
+    @pytest.mark.parametrize("lengths, sigma, horizon, kappa, end, want", [
+        # sweep seed 0 "triangle den=3 T=4 #4": two inequivalent M_14
+        # summands whose h eigenvalues can come within 1e-7 of each other
+        (("2", "4/3", "1", "3", "3", "5/3"), ["b0", "b2"], F(4), 28, 1, [14, 14]),
+        # sweep seed 0 "triangle mixed T=7/2 #7": the word span counted 1599
+        (("1", "13/6", "5/2", "4/5", "3/2", "7/10"), ["b0", "b1"], F(7, 2), 40, 0, [40]),
+    ])
+    def test_sweep_triangle_ends(self, lengths, sigma, horizon, kappa, end, want):
+        cycle, pendants = lengths[:3], lengths[3:]
+        edges = [(f"e{i}", (f"v{i}", f"v{(i + 1) % 3}"), F(x)) for i, x in enumerate(cycle)]
+        edges += [(f"e{3 + i}", (f"v{i}", f"b{i}"), F(x)) for i, x in enumerate(pendants)]
+        _, cf = pipeline(MetricGraph(edges, boundary=["b0", "b1", "b2"]), sigma, horizon)
+        (cb,) = [cb for cb in cf.blocks if cb.kappa == kappa]
+        assert boundary_clusters(cb, end) == want
 
 
 class TestBuildSpectrum:
@@ -159,14 +288,13 @@ class TestBuildSpectrum:
 
     def test_interior_evaluation_irreducible(self, star3):
         # at interior parameters the evaluated generators span kappa^2 words
-        from eikonal_canon import word_span_dim
-
         _, cf = pipeline(star3, ["g1", "g2"], F(5, 4))
         for cb in cf.blocks:
             r = cb.length / 3
             gens = [cb.generator_at(g, r) for g in cf.sigma]
             gens = [m for m in gens if np.max(np.abs(m)) > 0]
-            assert word_span_dim(gens) == cb.kappa ** 2
+            assert reference_word_span_dim(gens) == cb.kappa ** 2
+            assert algebra_summands(gens) == [(cb.kappa, 1)]
 
 
 class TestGammaCoordinates:
