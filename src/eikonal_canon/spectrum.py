@@ -3,9 +3,10 @@
 Every canonical block contributes a segment; evaluating the generators at a
 segment end yields a matrix subalgebra whose irreducible summands are the
 cluster points sitting at that end.  The summands are read off the
-eigenspaces of one seeded random element of that subalgebra (Murota, Kanno,
-Kojima & Kojima 2010), linked by the generators and certified to act as
-M_d (x) I_m.  Interior points are coordinatized by the per-source eigenvalue
+eigenspaces of one seeded random element of that subalgebra, linked by the
+generators, and where those cannot tell summands apart, off the commutant
+restricted to the element's eigenvalue clusters (Murota, Kanno, Kojima &
+Kojima 2010; Maehara & Murota 2010).  Interior points are coordinatized by the per-source eigenvalue
 multisets, and identifying endpoint coordinate matches folds the segments
 into an abstract quotient graph.
 """
@@ -58,6 +59,55 @@ class QuotientGraph:
     edges: tuple[tuple[int, int, Fraction, int], ...]  # (node_a, node_b, len, block)
 
 
+def _commutant_summands(z: np.ndarray, cluster: np.ndarray) -> list[tuple[int, int]]:
+    """(d, m) per summand of one linked component, read off its commutant.
+
+    z[k] is generator k on the component's eigenvectors of h, and cluster
+    labels them by eigenvalue cluster.  A commutant element Y commutes with
+    h, so it is block diagonal on the clusters; the blocks' entries solving
+    Y z_k = z_k Y span the null space of a Gram matrix.  Only the identity
+    there means one summand.  Otherwise the eigenspaces of a random symmetric
+    Y, linked by the commutant's basis, are the summands': m linked
+    eigenspaces of one dimension d each, and sum m^2 is the commutant's
+    dimension (a complex or quaternionic summand fails that count).
+    """
+    n = len(cluster)
+    pp, qq = np.nonzero(cluster[:, None] == cluster)
+    if len(pp) > 4 * n:
+        raise InvariantViolation(f"eigenvalue clusters of {len(pp)} commutant "
+                                 f"unknowns on {n} dimensions")
+    # gram[pq, rs] = sum_k <[E_pq, z_k], [E_rs, z_k]>, E_pq the unit matrices
+    z2 = (z @ z).sum(axis=0)
+    gram = ((pp[:, None] == pp) * z2[np.ix_(qq, qq)] + (qq[:, None] == qq) * z2[np.ix_(pp, pp)]
+            - 2 * np.einsum("kij,kij->ij", z[:, pp[:, None], pp], z[:, qq[:, None], qq]))
+    lam, vec = np.linalg.eigh(gram)
+    # |[Y, z]| below 1e-6 |Y| |z|: eigenvector and data error sit near 1e-9
+    null = vec[:, lam <= 1e-12 * np.trace(z2)]
+    if null.shape[1] == 1:
+        return [(n, 1)]
+    basis = np.zeros((null.shape[1], n, n))
+    basis[:, pp, qq] = null.T
+    rng = np.random.default_rng(CLUSTER_SEED)
+    y = np.tensordot(rng.normal(size=len(basis)), basis + basis.transpose(0, 2, 1), 1)
+    mu, v = np.linalg.eigh(y)
+    # the commutant is solved to 1e-6, so Y's eigenvalues and links count above that
+    starts = np.flatnonzero(np.diff(mu, prepend=-np.inf) > 1e-6 * max(abs(mu[0]), abs(mu[-1])))
+    sizes = np.diff(starts, append=n)
+    comp = v.T @ basis @ v
+    norms = np.add.reduceat(np.add.reduceat(np.einsum("kij,kij->ij", comp, comp), starts, 0),
+                            starts, 1)
+    out = []
+    for members in connected_classes(norms > 1e-12):
+        if np.any(sizes[list(members)] != sizes[members[0]]):
+            raise InvariantViolation("commutant eigenspaces of one summand differ in dimension")
+        out.append((int(sizes[members[0]]), len(members)))
+    if sum(m * m for _, m in out) != len(basis):
+        raise InvariantViolation(
+            f"a commutant of dimension {len(basis)} is not a sum of real matrix "
+            f"algebras of the multiplicities {[m for _, m in out]}")
+    return out
+
+
 def _read_summands(g: np.ndarray, c: np.ndarray, tol: float) -> list[tuple[int, int]]:
     """algebra_summands for one h = sum c_kk g_k + sum_{k<l} c_kl (g_k g_l + g_l g_k)."""
     k, kappa = len(g), g.shape[1]
@@ -65,63 +115,34 @@ def _read_summands(g: np.ndarray, c: np.ndarray, tol: float) -> list[tuple[int, 
     p = sum((g[i] @ np.tensordot(c[i, i + 1:], g[i + 1:], 1) for i in range(k - 1)),
             np.zeros((kappa, kappa)))
     w, v = np.linalg.eigh(np.tensordot(np.diag(c), g, 1) + p + p.T)
-    # eigh's eigenvalues are exact for h + E, |E| within about kappa * eps *
-    # |h|, so equal eigenvalues come back that close.  Distinct ones of
-    # inequivalent summands have come 8.7e-8 |h| close at a kappa-28 end and
-    # 1.5e-10 |h| at a kappa-64 end, which a relative 1e-7 would merge; 1e3 |E|
-    # still groups equal eigenvalues and keeps those apart.
-    err = kappa * np.finfo(float).eps * max(abs(w[0]), abs(w[-1]))
-    starts = np.flatnonzero(np.diff(w, prepend=-np.inf) > 1e3 * err)
+    # eigenvalues closer than 1e-4 |h| share a cluster.  Inequivalent summands
+    # have put eigenvalues 1.5e-10 |h| apart, and data error splits equal ones,
+    # so a cluster decides nothing by itself; it is one block of commutant
+    # unknowns, and eigenvectors of different clusters mix by at most
+    # |E| / 1e-4 |h|, |E| about kappa * eps * |h| being eigh's backward error
+    scale = max(abs(w[0]), abs(w[-1]))
+    starts = np.flatnonzero(np.diff(w, prepend=-np.inf) > 1e-4 * scale)
     sizes = np.diff(starts, append=kappa)
     comp = v.T @ g @ v
     norms = np.sqrt(np.add.reduceat(np.add.reduceat(
         np.einsum("kij,kij->ij", comp, comp), starts, 0), starts, 1))
-    # an eigenspace is known to within an angle |E| / gap, its distance to the
-    # next eigenvalue, so a link below that angle may be eigenvector mixing
+    # an eigenvector is known to within an angle |E| / gap, its distance to
+    # the next eigenvalue, so a link below that angle may be mixing alone
     gaps = np.diff(w)[starts[1:] - 1]
-    noise = np.sqrt(k * sizes) * err / np.minimum(np.append(gaps, np.inf),
-                                                  np.append(np.inf, gaps))
-    components = connected_classes(norms > tol)
-    if components != connected_classes(norms > tol + noise[:, None] + noise):
-        raise InvariantViolation("eigenvalues too close to tell links from "
-                                 "eigenvector error")
+    noise = np.sqrt(k * sizes) * kappa * np.finfo(float).eps * scale / np.minimum(
+        np.append(gaps, np.inf), np.append(np.inf, gaps))
+    sure = norms > tol + noise[:, None] + noise
+    cluster = np.repeat(np.arange(len(starts)), sizes)
     out = []
-    for members in components:
-        d, m = len(members), int(sizes[members[0]])
-        if np.any(sizes[list(members)] != m):
-            raise InvariantViolation(
-                f"linked eigenspaces of dimensions "
-                f"{sorted(set(sizes[list(members)].tolist()))}, not one")
-        idx = np.concatenate([np.arange(starts[a], starts[a] + m) for a in members])
-        x = comp[:, idx[:, None], idx].reshape(k, d, m, d, m)
-        if np.max(np.abs(x)) <= tol:  # every generator vanishes here: no summand
+    for members in connected_classes(norms > tol):
+        idx = np.flatnonzero(np.isin(cluster, members, assume_unique=True))
+        z = comp[:, idx[:, None], idx]
+        if np.max(np.abs(z)) <= tol:  # every generator vanishes here: no summand
             continue
-        if m > 1:
-            # rotate each eigenspace so that its block with its parent in a
-            # maximum spanning tree of links (Prim) becomes a multiple of I_m
-            rot = np.tile(np.eye(m), (d, 1, 1))
-            strength = norms[np.ix_(members, members)]
-            parent, best, done = np.zeros(d, int), strength[0].copy(), np.zeros(d, bool)
-            done[0] = True
-            for _ in range(d - 1):
-                b = int(np.argmax(np.where(done, -1.0, best)))
-                blocks = x[:, parent[b], :, b, :]
-                big = blocks[np.argmax(np.einsum("kij,kij->k", blocks, blocks))]
-                u, _, vt = np.linalg.svd(rot[parent[b]].T @ big)
-                rot[b] = vt.T @ u.T
-                done[b] = True
-                closer = strength[b] > best
-                parent[closer], best[closer] = b, strength[b][closer]
-            x = np.einsum("aji,kajbl,blq->kaibq", rot, x, rot, optimize=True)
-        scalar = np.einsum("kaibi->kab", x) / m
-        resid = float(np.max(np.abs(x - scalar[:, :, None, :, None] * np.eye(m)[:, None])))
-        # aligned real-type blocks miss a multiple of I_m by eigenvector error,
-        # far below 1e-6; complex or quaternionic ones by their own size
-        if resid > 1e-6:
-            raise InvariantViolation(
-                f"a linked component of {d} eigenspaces of dimension {m} does "
-                f"not read G (x) I_m (residual {resid:.1e})")
-        out.append((d, m))
+        if len(idx) == len(members) and len(connected_classes(sure[np.ix_(members, members)])) == 1:
+            out.append((len(idx), 1))  # one-dimensional eigenspaces joined by sure links
+        else:
+            out += _commutant_summands(z, cluster[idx])
     return out
 
 
@@ -131,21 +152,21 @@ def algebra_summands(gens: Sequence[np.ndarray], tol: float = DEFAULT_TOL,
 
     A seeded random symmetric h = sum c_k g_k + sum_{k<l} c_kl (g_k g_l +
     g_l g_k) over the normalised generators acts on a summand as a generic
-    d x d matrix (x) I_m, so its eigenspaces there are d spaces of dimension
-    m.  Two eigenspaces are linked when the generators' compressions
-    V_a^T g V_b exceed tol, and each linked component is one summand:
-    different summands never link (their central projections commute with
-    every generator), and the d eigenspaces of one summand cannot split into
-    unlinked parts, or the generators would not generate M_d.  Each reading
-    is certified, not assumed: no link that decides a component may be as
-    small as eigenvector error, a component's eigenspaces share one
-    dimension m, and once they are aligned along a spanning tree of links
-    every generator reads G (x) I_m.  A complex or quaternionic summand, or
-    an h that is not generic, fails that check.  A subspace on which every
-    generator vanishes is no summand.  A failed reading draws h
-    again, up to CLUSTER_TRIES times, then raises InvariantViolation naming
-    `where` and the reason.  A reading costs one kappa x kappa eigh and
-    K kappa^3 for the compressions.
+    d x d matrix (x) I_m.  Its eigenvalues are grouped into clusters, and two
+    clusters are linked when the generators' compressions V_a^T g V_b exceed
+    tol.  Different summands never link (their central projections commute
+    with every generator), so a linked component holds whole summands.  A
+    component of one-dimensional clusters that links larger than eigenvector
+    error connect is one summand M_n: any split of its eigenvectors would
+    cut a link.  Any other component (a multiplicity, summands whose
+    eigenvalues h cannot keep apart, a link eigenvector error could have
+    made) is read off its commutant, solved block-diagonally on the
+    clusters, which also checks that each summand is of real type.  A
+    subspace on which every generator vanishes is no summand.  A failed
+    reading draws h again, up to CLUSTER_TRIES times, then raises
+    InvariantViolation naming `where` and the reason.  A reading costs one
+    kappa x kappa eigh and K kappa^3 for the compressions, plus one eigh of
+    at most 4n unknowns per n-dimensional component read off its commutant.
     """
     g = np.array([m / nm for m in gens if (nm := float(np.linalg.norm(m))) > tol])
     if not len(g):

@@ -164,15 +164,16 @@ class TestAlgebraSummands:
 
     def test_complex_summand_raises(self):
         # M_2(C) acting on R^4: the realified Hermitian generators are
-        # symmetric, but their blocks read a I + b J, not G (x) I_2 (two
-        # Hermitian 2 x 2 matrices are real up to a unitary; three are not)
+        # symmetric, but their blocks read a I + b J, not G (x) I_2, and their
+        # commutant is C, not a real matrix algebra (two Hermitian 2 x 2
+        # matrices are real up to a unitary; three are not)
         rng = np.random.default_rng(5)
         gens = []
         for _ in range(3):
             h = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
             h = h + h.conj().T
             gens.append(np.block([[h.real, -h.imag], [h.imag, h.real]]))
-        with pytest.raises(InvariantViolation, match="G \\(x\\) I_m"):
+        with pytest.raises(InvariantViolation, match="not a sum of real matrix algebras"):
             algebra_summands(gens)
 
     def test_subspace_where_generators_vanish_is_no_summand(self):
@@ -230,13 +231,20 @@ class TestLargeBlocks:
         (("2", "4/3", "1", "3", "3", "5/3"), ["b0", "b2"], F(4), 28, 1, [14, 14]),
         # sweep seed 0 "triangle mixed T=7/2 #7": the word span counted 1599
         (("1", "13/6", "5/2", "4/5", "3/2", "7/10"), ["b0", "b1"], F(7, 2), 40, 0, [40]),
+        # sweep seed 2 "triangle den=10 T=3 #7": two summands so near each
+        # other that every random element has eigenvalue pairs within 1e-10,
+        # read through the commutant (the word span counted 323); sweep seed 5
+        # "triangle den=5 T=7/2 #1", whose other end has such a pair of
+        # summands (the word span counted 1022 here)
+        (("3/2", "14/5", "11/10", "1/2", "13/10", "13/5"), ["b0", "b2"], F(3), 36, 0, [18, 18]),
+        (("2", "3/5", "3", "13/5", "1", "11/5"), ["b1", "b2"], F(7, 2), 32, 1, [32]),
     ])
     def test_sweep_triangle_ends(self, lengths, sigma, horizon, kappa, end, want):
         cycle, pendants = lengths[:3], lengths[3:]
         edges = [(f"e{i}", (f"v{i}", f"v{(i + 1) % 3}"), F(x)) for i, x in enumerate(cycle)]
         edges += [(f"e{3 + i}", (f"v{i}", f"b{i}"), F(x)) for i, x in enumerate(pendants)]
         _, cf = pipeline(MetricGraph(edges, boundary=["b0", "b1", "b2"]), sigma, horizon)
-        (cb,) = [cb for cb in cf.blocks if cb.kappa == kappa]
+        cb = next(cb for cb in cf.blocks if cb.kappa == kappa)
         assert boundary_clusters(cb, end) == want
 
 
