@@ -19,6 +19,10 @@ from .errors import EikonalError
 from .frames import DEFAULT_TOL, gram_schmidt
 
 
+LINK_ROWS = 128
+"""Rows of the Gram matrix that equivalence_classes holds as floats at a time."""
+
+
 @dataclass(frozen=True)
 class Verdict:
     connected: bool
@@ -63,13 +67,16 @@ def connected_classes(linked: np.ndarray) -> list[tuple[int, ...]]:
 def equivalence_classes(vectors, tol: float = DEFAULT_TOL) -> list[tuple[int, ...]]:
     """Transitive closure of |<b_i, b_j>| > tol over unit-vector rows.
 
-    The links are read off one Gram product; classes are sorted member
-    tuples and come by smallest member.
+    The links are read off the Gram product LINK_ROWS rows at a time, so no
+    n x n float array is held; classes are sorted member tuples and come by
+    smallest member.
     """
     vecs = _unit_rows(vectors)
-    if not len(vecs):
-        return []
-    return connected_classes(np.abs(vecs @ vecs.T) > tol)
+    linked = np.empty((len(vecs), len(vecs)), bool)
+    for lo in range(0, len(vecs), LINK_ROWS):
+        gram = vecs[lo:lo + LINK_ROWS] @ vecs.T
+        np.greater(np.abs(gram, out=gram), tol, out=linked[lo:lo + LINK_ROWS])
+    return connected_classes(linked)
 
 
 def gram_matrix(vectors) -> np.ndarray:

@@ -73,10 +73,11 @@ class CanonicalBlock:
 
     def generator_at(self, gamma: str, r) -> np.ndarray:
         """sum_i tau_i(r) P_i over gamma's terms, as a kappa x kappa matrix."""
-        out = np.zeros((self.kappa, self.kappa))
-        for term in self.terms_of(gamma):
-            out += float(term.tau(r)) * term.projector()
-        return out
+        terms = self.terms_of(gamma)
+        if not terms:
+            return np.zeros((self.kappa, self.kappa))
+        betas = np.array([t.beta for t in terms])
+        return (betas.T * [float(t.tau(r)) for t in terms]) @ betas
 
     def betas(self) -> np.ndarray:
         """The term betas as rows, in term order."""
@@ -122,7 +123,7 @@ def build_parametric(partition: Partition,
                 raise EikonalError("frame and family shapes disagree")
             for i in frame.nonzero:
                 tau = fam.taus[i].shifted() if shifted else fam.taus[i]
-                terms.append(BlockTerm(gamma, i, tau, frame.vectors[i].copy()))
+                terms.append(BlockTerm(gamma, i, tau, frame.vectors[i]))
         blocks[fam.index] = CanonicalBlock(fam.epsilon, fam.dim, tuple(terms))
     return ParametricRepr(partition.sigma, partition.horizon, shifted,
                           partition, blocks)

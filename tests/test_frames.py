@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eikonal_canon import build_partition, eccentricity, propagate
-from eikonal_canon.frames import alpha_set, family_frames, gram_schmidt
+from eikonal_canon import frames
+from eikonal_canon.errors import InvariantViolation
+from eikonal_canon.frames import AlphaSet, alpha_set, beta_frame, family_frames, gram_schmidt
 
 from conftest import dense, probe_positions, random_admissible_graph, reference_amplitude_at
 
@@ -102,6 +104,83 @@ class TestGramSchmidt:
         assert frame.nonzero == (1,)
 
 
+def sparse_alpha(rows) -> AlphaSet:
+    """An alpha-set with the given rational rows (its positions are placeholders)."""
+    m = max((len(r) for r in rows), default=0)
+    entries = {(i, j): F(a) for i, r in enumerate(rows) for j, a in enumerate(r) if a}
+    return AlphaSet(tuple(range(m)), tuple(F(i) for i in range(len(rows))), entries)
+
+
+def assert_matches_gram_schmidt(alpha: AlphaSet) -> None:
+    frame, reference = beta_frame(alpha), gram_schmidt(alpha.as_float())
+    assert frame.nonzero == reference.nonzero
+    assert frame.vectors.shape == reference.vectors.shape
+    if frame.vectors.size:
+        assert np.max(np.abs(frame.vectors - reference.vectors)) <= 1e-12
+
+
+@st.composite
+def planted_rows(draw):
+    """Sparse rational rows with empty, duplicated and combined rows planted among them."""
+    m = draw(st.integers(min_value=1, max_value=7))
+    entry = st.one_of(st.just(F(0)), st.just(F(0)),
+                      st.fractions(min_value=-3, max_value=3, max_denominator=4))
+    rows = []
+    for _ in range(draw(st.integers(min_value=1, max_value=8))):
+        kind = draw(st.sampled_from(["fresh", "fresh", "empty", "copy", "combination"]))
+        if kind == "empty" or (kind != "fresh" and not rows):
+            rows.append([F(0)] * m)
+        elif kind == "copy":
+            rows.append(list(draw(st.sampled_from(rows))))
+        elif kind == "combination":
+            coefs = draw(st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=3),
+                                  min_size=len(rows), max_size=len(rows)))
+            rows.append([sum((c * r[j] for c, r in zip(coefs, rows)), F(0))
+                         for j in range(m)])
+        else:
+            rows.append(draw(st.lists(entry, min_size=m, max_size=m)))
+    return rows
+
+
+class TestBetaFrame:
+    @given(planted_rows())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_gram_schmidt(self, rows):
+        assert_matches_gram_schmidt(sparse_alpha(rows))
+
+    def test_dependent_mod_p_only_is_kept(self):
+        # 2^61 - 1 vanishes modulo the elimination prime, but not over Q
+        p = F(frames.PRIME)
+        assert beta_frame(sparse_alpha([[p]])).nonzero == (0,)
+        frame = beta_frame(sparse_alpha([[1, 0], [1, p]]))
+        assert frame.nonzero == (0, 1)
+        assert np.allclose(frame.vectors, np.eye(2))
+        # once such a row is kept, a row independent mod p of the others'
+        # images can still be dependent over Q: [0, 1] = (row 1 - row 0) / p
+        frame = beta_frame(sparse_alpha([[1, 1], [1, p + 1], [0, 1], [1, 0]]))
+        assert frame.nonzero == (0, 1)
+
+    def test_dependence_too_large_to_lift_is_zeroed(self):
+        # the combination's multiple 2^40 exceeds what rational
+        # reconstruction modulo 2^61 - 1 recovers; the exact check decides
+        frame = beta_frame(sparse_alpha([[1, 0, 0], [0, 1, 1], [2 ** 40, 3, 3], [0, 0, 1]]))
+        assert frame.nonzero == (0, 1, 3)
+        assert not frame.vectors[2].any()
+
+    def test_golden_instances_match_gram_schmidt(self):
+        from test_golden_json import INSTANCES
+
+        for make_graph, sigma, horizon in INSTANCES.values():
+            g = make_graph()
+            hydras = [propagate(g, gamma, horizon) for gamma in sigma]
+            part = build_partition(hydras)
+            for fam in part.families:
+                r = fam.epsilon / 3
+                lam, xi = fam.lambda_at(g, r), fam.times_at(r)
+                for h in hydras:
+                    assert_matches_gram_schmidt(alpha_set(h, lam, xi))
+
+
 class TestFamilyFrames:
     def test_interval(self, interval):
         h = propagate(interval, "a", F(1, 2))
@@ -149,6 +228,21 @@ class TestFamilyFrames:
         assert f1.nonzero == (0,) and f3.nonzero == (0,)
         assert not np.any(f1.vectors.any(axis=0) & f3.vectors.any(axis=0))
         assert np.allclose(np.abs(f1.vectors[0]) + np.abs(f3.vectors[0]), 1.0)
+
+    def test_zero_row_for_single_subcritical_source_raises(self, star3, monkeypatch):
+        h = propagate(star3, "g1", F(3, 2))  # eccentricity 2: subcritical
+        part = build_partition([h])
+        real = frames.alpha_set
+
+        def repeat_first_row(*args):
+            a = real(*args)
+            return AlphaSet(a.positions, a.times, {
+                (i, j): v for (r, j), v in a.entries.items() if r == 0
+                for i in range(len(a.times))})
+
+        monkeypatch.setattr(frames, "alpha_set", repeat_first_row)
+        with pytest.raises(InvariantViolation, match="single subcritical source"):
+            family_frames(part, [h])
 
     def test_orthonormality_randomized(self):
         rng = random.Random(13)
