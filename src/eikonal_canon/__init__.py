@@ -39,14 +39,12 @@ from .representation import (
     apply_projector,
     build_parametric,
     evaluate_at,
-    projector_block,
     sigma_ac,
 )
 from .projalg import (
     Verdict,
     connection_test,
     equivalence_classes,
-    gram_matrix,
     irreducible_reduction,
     word_span_dim,
 )

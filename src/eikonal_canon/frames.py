@@ -7,11 +7,10 @@ For several sources the frames live over the joint determination set,
 supported only where that source's waves have arrived.
 
 The zero rows are exact: the rows are eliminated modulo a prime, and each row
-that vanishes there is confirmed dependent over Q.  The betas come from the
-Cholesky factor of the sparse Gram matrix of the independent rows (CholeskyQR,
-with CholeskyQR2's second pass where one pass loses orthonormality; Yamamoto,
-Nakatsukasa, Yanagisawa & Fukaya 2015), one connected component of the
-row/column incidence at a time.
+that vanishes there is confirmed dependent over Q.  The betas come from a
+Householder QR of the independent rows, one connected component of the
+row/column incidence at a time: backward stable, so the betas are
+orthonormal to rounding whatever the rows' conditioning.
 """
 
 from __future__ import annotations
@@ -117,11 +116,6 @@ def gram_schmidt(a: np.ndarray, tol: float = DEFAULT_TOL) -> BetaFrame:
 
 PRIME = (1 << 61) - 1
 """The Mersenne prime the rows are eliminated modulo."""
-
-REPEAT_ABOVE = 1e-12
-"""Orthonormality error above which a component's betas take CholeskyQR2's
-second pass: one pass loses orthonormality with the square of the condition
-number, and betas are kept to 1e-12."""
 
 
 def _reduce(row: dict, pivots: dict[int, dict], p: int) -> tuple[int | None, list]:
@@ -266,7 +260,7 @@ def _independent_rows(alpha: AlphaSet) -> tuple[int, ...]:
     return tuple(kept)
 
 
-def _components(rows: list[dict], kept: Sequence[int]
+def _components(rows: list[set[int]], kept: Sequence[int]
                 ) -> list[tuple[list[int], list[int]]]:
     """The kept rows and their columns, per connected component of the
     row/column incidence; rows in row order, columns ascending."""
@@ -290,97 +284,40 @@ def _components(rows: list[dict], kept: Sequence[int]
     return [(comp, sorted(cols)) for comp, cols in parts.values()]
 
 
-def _orthonormality_error(b: np.ndarray) -> float:
-    """max |b b^T - I| entrywise."""
-    g = b @ b.T
-    g.flat[::len(g) + 1] -= 1.0
-    return float(np.abs(g, out=g).max())
-
-
-def _component_betas(rows: list[dict[int, float]], comp: list[int], cols: list[int],
-                     tol: float) -> np.ndarray:
-    """Orthonormalised rows comp, in order, on the columns cols (CholeskyQR).
-
-    The Gram matrix G of the rows is built from their sparse entries and
-    factored G = L L^T up-looking, one row of L at a time; the same pass
-    forward-substitutes B = L^-1 A, which has orthonormal rows and spans what
-    the rows span, row by row in order, as Gram-Schmidt's does.
-    """
-    local = {j: k for k, j in enumerate(cols)}
-    block = np.zeros((len(comp), len(cols)))
-    by_col: dict[int, list[tuple[int, float]]] = {}
-    below: list[dict[int, float]] = []  # column k of L under the diagonal
-    diag: list[float] = []
-    for a, i in enumerate(comp):
-        g: dict[int, float] = {}
-        for j, v in rows[i].items():
-            block[a, local[j]] = v
-            entries = by_col.setdefault(j, [])
-            entries.append((a, v))
-            for b, w in entries:
-                g[b] = g.get(b, 0.0) + v * w
-        gaa = g.pop(a)
-        todo = list(g)
-        heapq.heapify(todo)
-        while todo:
-            k = heapq.heappop(todo)
-            xk = g[k] = g[k] / diag[k]
-            for m, lmk in below[k].items():
-                if m in g:
-                    g[m] -= lmk * xk
-                else:
-                    g[m] = -lmk * xk
-                    heapq.heappush(todo, m)
-        d2 = gaa - sum(x * x for x in g.values())
-        if not d2 > 0:
-            raise InvariantViolation(
-                "independent amplitude vectors have a numerically singular Gram matrix")
-        diag.append(math.sqrt(d2))
-        for k, x in g.items():
-            below[k][a] = x
-        below.append({})
-        if g:
-            block[a] -= np.fromiter(g.values(), float, len(g)) @ block[list(g)]
-        block[a] /= diag[a]
-    err = _orthonormality_error(block)
-    if err > REPEAT_ABOVE:
-        try:
-            block = np.linalg.solve(np.linalg.cholesky(block @ block.T), block)
-        except np.linalg.LinAlgError:
-            raise InvariantViolation("beta frame is not orthonormal") from None
-        err = _orthonormality_error(block)
-    if err > 10 * tol:
-        raise InvariantViolation("beta frame is not orthonormal")
-    return block
-
-
 def beta_frame(alpha: AlphaSet, tol: float = DEFAULT_TOL) -> BetaFrame:
     """The beta frame of an alpha-set: its rows orthonormalised in order.
 
     A row dependent on its predecessors gets a zero beta; that decision is
-    exact (_independent_rows).  tol bounds only the orthonormality error of
-    the betas, which exceeding raises InvariantViolation.
+    exact (_independent_rows).  The kept rows are normalised, which is the
+    beta of a row alone in its component; a component of several rows is
+    orthonormalised by a Householder QR of its block, with the signs that
+    make each beta's product with its own row positive, as Gram-Schmidt's
+    are.  tol bounds only the orthonormality error of the betas, which
+    exceeding raises InvariantViolation.
     """
     kept = _independent_rows(alpha)
-    n, m = len(alpha.times), len(alpha.positions)
-    rows: list[dict[int, float]] = [{} for _ in range(n)]
-    for (i, j), a in alpha.entries.items():
-        rows[i][j] = a.numerator / a.denominator  # float(a), without the ABC hop
-    parts = _components(rows, kept)
-    # one component holding every row and column: its block is the frame
-    if len(parts) == 1 and len(kept) == n > 1 and len(parts[0][1]) == m:
-        return BetaFrame(_component_betas(rows, *parts[0], tol), kept)
-    vectors = np.zeros((n, m))
-    for comp, cols in parts:
+    vectors = alpha.as_float()
+    rows: list[set[int]] = [set() for _ in alpha.times]
+    for i, j in alpha.entries:
+        rows[i].add(j)
+    dropped = np.ones(len(vectors), bool)
+    dropped[list(kept)] = False
+    vectors[dropped] = 0.0
+    norms = np.linalg.norm(vectors, axis=1, keepdims=True)
+    np.divide(vectors, norms, out=vectors, where=norms > 0)
+    # rows of different components have disjoint supports, so their betas
+    # are orthogonal exactly; a lone row's only check is its norm
+    err = float(np.abs(np.einsum("ij,ij->i", vectors, vectors)[list(kept)] - 1.0)
+                .max(initial=0.0))
+    for comp, cols in _components(rows, kept):
         if len(comp) > 1:
-            vectors[np.ix_(comp, cols)] = _component_betas(rows, comp, cols, tol)
-            continue
-        row = rows[comp[0]]  # a / |a|, with nothing to factor
-        norm = math.sqrt(sum(v * v for v in row.values()))
-        beta = [row[j] / norm for j in cols]
-        if not abs(sum(b * b for b in beta) - 1.0) <= 10 * tol:
-            raise InvariantViolation("beta frame is not orthonormal")
-        vectors[comp[0], cols] = beta
+            block = np.ix_(comp, cols)
+            q, r = np.linalg.qr(vectors[block].T)
+            q *= np.sign(np.diag(r))
+            vectors[block] = q.T
+            err = max(err, float(np.abs(q.T @ q - np.eye(len(comp))).max()))
+    if err > 10 * tol:
+        raise InvariantViolation("beta frame is not orthonormal")
     return BetaFrame(vectors, kept)
 
 

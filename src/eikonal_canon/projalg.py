@@ -79,12 +79,6 @@ def equivalence_classes(vectors, tol: float = DEFAULT_TOL) -> list[tuple[int, ..
     return connected_classes(linked)
 
 
-def gram_matrix(vectors) -> np.ndarray:
-    """|<b_i, b_j>| entrywise; equals the pairwise projector product norms."""
-    vecs = _unit_rows(vectors)
-    return np.abs(vecs @ vecs.T)
-
-
 def _sign_witness(va: np.ndarray, vb: np.ndarray, ga: np.ndarray, gb: np.ndarray,
                   tol: float) -> np.ndarray | None:
     """Orthogonal map T with T vb_i = +- va_i, if the signed Grams ga, gb match."""

@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import EikonalError, MissingSampleError
-from .frames import BetaFrame, DEFAULT_TOL
+from .frames import BetaFrame
 from .metric_graph import Position, merge_intervals
 from .partition import Family, LinearTimeFn, Partition
 
@@ -97,14 +97,6 @@ class ParametricRepr:
     @property
     def families(self) -> tuple[Family, ...]:
         return self.partition.families
-
-
-def projector_block(rows: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """B* B for orthonormal rows B: the matrix of the projector onto their span."""
-    B = np.asarray(rows, float)
-    if B.size and float(np.max(np.abs(B @ B.T - np.eye(B.shape[0])))) > 10 * tol:
-        raise EikonalError("frame rows are not orthonormal")
-    return B.T @ B
 
 
 def build_parametric(partition: Partition,

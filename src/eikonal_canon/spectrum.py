@@ -22,7 +22,7 @@ import numpy as np
 from .canonical import CanonicalBlock, CanonicalForm
 from .errors import EikonalError, InvariantViolation
 from .metric_graph import merge_intervals
-# word_span_dim is unused here but bench/tracing.py's WRAPS wraps it (ROADMAP item 6)
+# word_span_dim is unused here but bench/tracing.py's WRAPS wraps it (ROADMAP item 7)
 from .projalg import DEFAULT_TOL, connected_classes, word_span_dim
 
 CLUSTER_SEED = 0x5EED

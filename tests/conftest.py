@@ -213,6 +213,24 @@ def dense(alpha) -> tuple[tuple[Fraction, ...], ...]:
                  for i in range(len(alpha.times)))
 
 
+def reference_betas(rows) -> np.ndarray:
+    """Gram-Schmidt of rational rows over Q, in order, rounded only at the end:
+    each residual is exact, and a zero residual gives a zero beta."""
+    resids: list[list[Fraction]] = []
+    out = np.zeros((len(rows), len(rows[0]) if rows else 0))
+    for i, row in enumerate(rows):
+        u = [Fraction(a) for a in row]
+        for w in resids:
+            c = sum(a * b for a, b in zip(u, w)) / sum(b * b for b in w)
+            u = [a - c * b for a, b in zip(u, w)]
+        norm2 = sum(a * a for a in u)
+        if norm2:
+            resids.append(u)
+            out[i] = [float(a) for a in u]
+            out[i] /= math.sqrt(norm2)
+    return out
+
+
 def reference_word_span_dim(mats, tol: float = 1e-9) -> int:
     """Dimension of the span of all nonempty words in the matrices, grown one
     word at a time by double classical Gram-Schmidt on kappa^2-vectors: the

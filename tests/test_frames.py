@@ -15,7 +15,8 @@ from eikonal_canon import frames
 from eikonal_canon.errors import InvariantViolation
 from eikonal_canon.frames import AlphaSet, alpha_set, beta_frame, family_frames, gram_schmidt
 
-from conftest import dense, probe_positions, random_admissible_graph, reference_amplitude_at
+from conftest import (dense, probe_positions, random_admissible_graph, reference_amplitude_at,
+                      reference_betas)
 
 F = Fraction
 RT2 = 1.0 / math.sqrt(2.0)
@@ -166,6 +167,31 @@ class TestBetaFrame:
         frame = beta_frame(sparse_alpha([[1, 0, 0], [0, 1, 1], [2 ** 40, 3, 3], [0, 0, 1]]))
         assert frame.nonzero == (0, 1, 3)
         assert not frame.vectors[2].any()
+
+    def test_ill_conditioned_component_matches_exact_reference(self):
+        # rows 0, 2 and 5 span columns 0-2 with condition number about 314,
+        # where a CholeskyQR pass loses 1e-12 orthonormality (about 7e-12);
+        # row 3 is row 0 + row 2, rows 1 and 4 are a second component and
+        # row 6 a third
+        d = F(1, 60)
+        rows = [
+            [1, 1, 1, 0, 0, 0],
+            [0, 0, 0, 1, 2, 0],
+            [1, 1 + d, 1, 0, 0, 0],
+            [2, 2 + d, 2, 0, 0, 0],
+            [0, 0, 0, 2, 3, 0],
+            [1, 1, 1 - d, 0, 0, 0],
+            [0, 0, 0, 0, 0, 3],
+        ]
+        frame = beta_frame(sparse_alpha(rows))
+        assert frame.nonzero == (0, 1, 2, 4, 5, 6)
+        assert np.max(np.abs(frame.vectors - reference_betas(rows))) <= 1e-12
+        nz = frame.nonzero_matrix()
+        assert np.max(np.abs(nz @ nz.T - np.eye(len(nz)))) <= 1e-14
+        outside = np.ones(frame.vectors.shape, bool)
+        for comp, cols in (([0, 2, 3, 5], [0, 1, 2]), ([1, 4], [3, 4]), ([6], [5])):
+            outside[np.ix_(comp, cols)] = False
+        assert not frame.vectors[outside].any()
 
     def test_golden_instances_match_gram_schmidt(self):
         from test_golden_json import INSTANCES

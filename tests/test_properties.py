@@ -14,6 +14,7 @@ from eikonal_canon import (
     MetricGraph,
     build_parametric,
     build_partition,
+    build_spectrum,
     canonicalize,
     family_frames,
     propagate,
@@ -90,8 +91,8 @@ class OverBudget(BaseException):
     """Raised by the CPU timer; a BaseException so no library handler eats it."""
 
 
-def canonical_within(g, sigma, T, cpu_s):
-    """The canonical form of (g, sigma, T), or None past cpu_s of process CPU."""
+def spectrum_within(g, sigma, T, cpu_s):
+    """The spectrum model of (g, sigma, T), or None past cpu_s of process CPU."""
     def stop(signum, frame):
         raise OverBudget
 
@@ -100,7 +101,7 @@ def canonical_within(g, sigma, T, cpu_s):
     try:
         hydras = [propagate(g, gamma, T) for gamma in sigma]
         part = build_partition(hydras)
-        return canonicalize(build_parametric(part, family_frames(part, hydras)))
+        return build_spectrum(canonicalize(build_parametric(part, family_frames(part, hydras))))
     except OverBudget:
         return None
     finally:
@@ -108,13 +109,21 @@ def canonical_within(g, sigma, T, cpu_s):
         signal.signal(signal.SIGPROF, previous)
 
 
-def scaled_down(cf, c):
-    """Junctions, then per block (length, kappa, terms) with every length and
-    unshifted passage time divided by c; terms are (gamma, intercept, slope)."""
-    return cf.junctions, [
-        (cb.length / c, cb.kappa,
-         [(t.gamma, (t.tau.intercept - 1) / c, t.tau.slope) for t in cb.terms])
-        for cb in cf.blocks]
+def scaled_down(sm, c):
+    """Junctions; per block (length, kappa, terms), terms as (gamma,
+    intercept, slope); per segment (block, length, end summands); per source
+    sigma_ac.  Every length, unshifted passage time and unshifted sigma_ac
+    end is divided by c."""
+    cf = sm.form
+    return (
+        cf.junctions,
+        [(cb.length / c, cb.kappa,
+          [(t.gamma, (t.tau.intercept - 1) / c, t.tau.slope) for t in cb.terms])
+         for cb in cf.blocks],
+        [(s.block, s.length / c, s.start_summands, s.end_summands) for s in sm.segments],
+        {gamma: [((lo - 1) / c, (hi - 1) / c) for lo, hi in intervals]
+         for gamma, intervals in sm.sigma_ac.items()},
+    )
 
 
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1),
@@ -122,19 +131,19 @@ def scaled_down(cf, c):
 @settings(max_examples=30, deadline=None)
 def test_canonical_form_scales_with_lengths(seed, c):
     # the wave speed is 1 and the scattering amplitudes depend only on the
-    # valences, so scaling every length and T by c scales every block length
-    # and passage time by c and leaves kappas and junctions alone.  Stops at
-    # canonicalize: spectrum still fails on a valid pendant triangle.  A graph
-    # that does not finish within the CPU budget on either side is skipped.
+    # valences, so scaling every length and T by c scales every block and
+    # segment length, passage time and sigma_ac end by c and leaves kappas,
+    # junctions and end summands alone.  A graph that does not finish within
+    # the CPU budget on either side is skipped.
     rng = random.Random(seed)
     g = random_admissible_graph(rng)
     boundary = sorted(g.boundary)
     sigma = sorted(rng.sample(boundary, rng.randint(1, min(3, len(boundary)))))
     T = F(rng.randint(1, 8), 4)
     big = MetricGraph([(e.id, e.ends, e.length * c) for e in g.edges], g.boundary)
-    cf = canonical_within(g, sigma, T, 1.0)
-    cf_big = canonical_within(big, sigma, T * c, 1.0) if cf is not None else None
-    if cf is None or cf_big is None:
+    sm = spectrum_within(g, sigma, T, 1.0)
+    sm_big = spectrum_within(big, sigma, T * c, 1.0) if sm is not None else None
+    if sm is None or sm_big is None:
         event("over the CPU budget: skipped")
-    assume(cf is not None and cf_big is not None)
-    assert scaled_down(cf_big, c) == scaled_down(cf, 1)
+    assume(sm is not None and sm_big is not None)
+    assert scaled_down(sm_big, c) == scaled_down(sm, 1)
